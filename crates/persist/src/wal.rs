@@ -369,6 +369,19 @@ impl Wal {
     /// the record's sequence number.  On error the in-memory counters are
     /// untouched; the caller must treat the mutation as not durable.
     pub fn append(&mut self, parent_epoch: u64, epoch: u64, batch: &MutationBatch) -> Result<u64> {
+        self.append_encoded(parent_epoch, epoch, batch)
+            .map(|(seq, _)| seq)
+    }
+
+    /// [`Wal::append`], also returning the record bytes exactly as they
+    /// were written (the [`encode_record`] framing), so a caller can keep
+    /// or ship them without re-encoding.
+    pub fn append_encoded(
+        &mut self,
+        parent_epoch: u64,
+        epoch: u64,
+        batch: &MutationBatch,
+    ) -> Result<(u64, Vec<u8>)> {
         let seq = self.next_seq;
         let rec = encode_record(seq, parent_epoch, epoch, batch);
         self.file.write_all(&rec)?;
@@ -386,7 +399,7 @@ impl Wal {
         self.next_seq += 1;
         self.records += 1;
         self.bytes += rec.len() as u64;
-        Ok(seq)
+        Ok((seq, rec))
     }
 
     /// Forces any buffered records to stable storage.

@@ -39,6 +39,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,8 +47,8 @@ use banks_core::json as corejson;
 use banks_core::EmissionPolicy;
 use banks_graph::{GraphMutation, MutationBatch, NodeId, OpEffect};
 use banks_service::{
-    encode_record, parse_slo_specs, GraphSnapshot, PersistError, Priority, QueryEvent, QueryResult,
-    QuerySpec, RecvTimeout, ReplicationRole, Service, SubmitError,
+    parse_slo_specs, GraphSnapshot, MutationReport, PersistError, Priority, QueryEvent,
+    QueryResult, QuerySpec, RecvTimeout, ReplicationRole, Service, SubmitError,
 };
 
 use crate::http::{self, Limits, ParseError, Request};
@@ -75,6 +76,15 @@ pub(crate) struct ServerContext {
     /// Where writes live when this process is a follower — the `Location`
     /// a rejected `POST /admin/mutate` points at.
     pub(crate) leader_url: Option<String>,
+    /// The server's shutdown flag: the long-lived SSE tails end on their
+    /// next wake once it is set, so `Server::shutdown` can join them.
+    pub(crate) shutdown: Arc<AtomicBool>,
+}
+
+impl ServerContext {
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
 }
 
 /// An error destined for the wire: status, machine-readable code, message,
@@ -445,14 +455,22 @@ fn replication_head_json(ctx: &ServerContext, checkpoint_epoch: u64, pending: us
 /// `GET /replication/stream`: SSE tail of the leader's mutation WAL.
 ///
 /// The cursor (epoch of the last record the follower holds) comes from
-/// `Last-Event-ID` (the header wins) or `?from_epoch=`.  Each WAL record
-/// past the cursor is a `record` event whose SSE `id:` is the record's
-/// epoch and whose payload carries the exact WAL record bytes hex-encoded;
-/// a `head` event precedes every batch and fires roughly once a second
-/// while idle (keep-alive + lag signal).  A cursor behind the WAL
-/// truncation horizon gets a terminal `bootstrap` event: the follower must
-/// re-seed from `GET /replication/snapshot` before resuming.  409 when the
-/// leader runs without persistence (there is no WAL to stream).
+/// `Last-Event-ID` (the header wins) or `?from_epoch=`.  A `head` event
+/// goes out as soon as the stream opens, so a follower learns the
+/// leader's epoch and horizon without waiting for a keep-alive.  Each
+/// WAL record past the cursor is then a `record` event whose SSE `id:` is
+/// the record's epoch and whose payload is the record's bytes exactly as
+/// the WAL holds them, hex-encoded (served from the service's committed
+/// tail, never re-read from the file); a `head` precedes every batch.
+/// Between batches the handler blocks on the service's commit signal
+/// ([`Service::wait_for_commit`]) one [`TAIL_TICK`] at a time, so a
+/// commit is shipped as soon as the committing request has been
+/// acknowledged, and the shared tail idle discipline ([`tail_idle`])
+/// probes the peer, sends an idle `head` about once a second and ends
+/// the stream at server shutdown.  A cursor behind the WAL truncation
+/// horizon gets a terminal `bootstrap` event: the follower must re-seed
+/// from `GET /replication/snapshot` before resuming.  409 when the leader
+/// runs without persistence (there is no WAL to stream).
 fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
     let mut writer = stream;
     let mut cursor = request
@@ -480,7 +498,11 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
         return;
     }
     let mut sse = SseWriter::new(writer);
-    let mut idle_polls = 0u32;
+    // Read before the tail, so a commit landing in between is not lost:
+    // the wait below returns at once when the count has moved.
+    let mut seen = ctx.service.commit_count();
+    let mut connected = true;
+    let mut quiet_ticks = 0u32;
     loop {
         // Re-read the horizon every pass: a checkpoint can truncate the
         // WAL at any moment, turning "caught up" into "unreachable".
@@ -499,46 +521,40 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
             Ok(records) => records,
             Err(_) => return,
         };
-        if records.is_empty() {
-            idle_polls += 1;
-            if peer_disconnected(stream) {
-                return;
-            }
-            if idle_polls.is_multiple_of(10)
-                && sse
-                    .event("head", &replication_head_json(ctx, checkpoint_epoch, 0))
-                    .is_err()
+        if connected || !records.is_empty() {
+            connected = false;
+            if sse
+                .event(
+                    "head",
+                    &replication_head_json(ctx, checkpoint_epoch, records.len()),
+                )
+                .is_err()
             {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
-        }
-        idle_polls = 0;
-        if sse
-            .event(
-                "head",
-                &replication_head_json(ctx, checkpoint_epoch, records.len()),
-            )
-            .is_err()
-        {
-            return;
         }
         for record in records {
-            let payload = to_hex(&encode_record(
+            let data = format!(
+                "{{\"seq\":{},\"parent_epoch\":{},\"epoch\":{},\"payload\":\"{}\"}}",
                 record.seq,
                 record.parent_epoch,
                 record.epoch,
-                &record.batch,
-            ));
-            let data = format!(
-                "{{\"seq\":{},\"parent_epoch\":{},\"epoch\":{},\"payload\":\"{payload}\"}}",
-                record.seq, record.parent_epoch, record.epoch,
+                to_hex(&record.bytes),
             );
             if sse.event_with_id("record", record.epoch, &data).is_err() {
                 return;
             }
             cursor = record.epoch;
+        }
+        let wait_for_commit = |tick| {
+            let now = ctx.service.wait_for_commit(seen, tick);
+            let woke = now != seen;
+            seen = now;
+            woke
+        };
+        let keepalive = || sse.event("head", &replication_head_json(ctx, checkpoint_epoch, 0));
+        if !tail_idle(ctx, stream, &mut quiet_ticks, wait_for_commit, keepalive) {
+            return;
         }
     }
 }
@@ -752,9 +768,10 @@ fn respond_events(ctx: &ServerContext, request: &Request, w: &mut impl Write, ke
 /// conforming client that reconnects with `Last-Event-ID` resumes exactly
 /// where it left off (a `?since=<id>` query parameter does the same for
 /// hand-rolled clients; the header wins when both are present).  History
-/// after the cursor is replayed first, then the handler polls the log,
-/// probing the peer and emitting keep-alive comments while idle so an
-/// abandoned tail releases its handler.
+/// after the cursor is replayed first, then the handler polls the log
+/// under the shared tail idle discipline ([`tail_idle`]): it probes the
+/// peer and emits keep-alive comments while idle so an abandoned tail
+/// releases its handler, and it ends when the server shuts down.
 fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
     let mut writer = stream;
     let mut cursor = request
@@ -770,24 +787,22 @@ fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStrea
         return;
     }
     let mut sse = SseWriter::new(writer);
-    let mut idle_polls = 0u32;
+    let mut quiet_ticks = 0u32;
     loop {
         let batch = ctx.service.events().since(cursor, EVENTS_PAGE_LIMIT);
         if batch.is_empty() {
-            // Idle: probe the peer now, keep-alive it roughly once a
-            // second (every tenth 100 ms poll) — same liveness discipline
-            // as the query stream, scaled to the tail's poll cadence.
-            idle_polls += 1;
-            if peer_disconnected(stream) {
+            // The event log has no wake signal: sleep out the tick.
+            let sleep = |tick| {
+                std::thread::sleep(tick);
+                false
+            };
+            let keepalive = || sse.comment("keepalive");
+            if !tail_idle(ctx, stream, &mut quiet_ticks, sleep, keepalive) {
                 return;
             }
-            if idle_polls.is_multiple_of(10) && sse.comment("keepalive").is_err() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(100));
             continue;
         }
-        idle_polls = 0;
+        quiet_ticks = 0;
         for event in batch {
             if sse
                 .event_with_id("event", event.id, &event_json(&event))
@@ -911,7 +926,19 @@ fn respond_mutate(
             return false;
         }
     };
-    let report = ctx.service.apply_mutations(&batch);
+    // The ack is written inside the commit's continuation: before the
+    // commit wakes the replication stream, whose follower would otherwise
+    // compete with this write for the CPU.
+    ctx.service.apply_mutations_with(&batch, |report| {
+        let body = mutate_ack_json(report, started.elapsed().as_micros());
+        let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    });
+    keep_alive
+}
+
+/// The `POST /admin/mutate` response body: epochs, counts, apply time and
+/// the per-op accept/reject results.
+fn mutate_ack_json(report: &MutationReport, apply_us: u128) -> String {
     let mut results = String::from("[");
     for (i, result) in report.outcome.results.iter().enumerate() {
         if i > 0 {
@@ -933,18 +960,15 @@ fn respond_mutate(
         }
     }
     results.push(']');
-    let body = format!(
+    format!(
         "{{\"swapped\":{},\"epoch\":{},\"previous_epoch\":{},\"accepted\":{},\
-         \"rejected\":{},\"apply_us\":{},\"results\":{results}}}",
+         \"rejected\":{},\"apply_us\":{apply_us},\"results\":{results}}}",
         report.swapped,
         report.epoch,
         report.previous_epoch,
         report.outcome.accepted(),
         report.outcome.rejected(),
-        started.elapsed().as_micros(),
-    );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
-    keep_alive
+    )
 }
 
 fn op_effect_json(effect: &OpEffect) -> String {
@@ -1338,6 +1362,42 @@ fn result_json(result: &QueryResult) -> String {
         result.queue_wait.as_micros(),
         corejson::search_stats(&result.stats),
     )
+}
+
+/// How long one idle wait of an SSE tail lasts: the cadence at which a
+/// quiet tail probes its peer and notices server shutdown.
+const TAIL_TICK: Duration = Duration::from_millis(100);
+
+/// Quiet ticks between keep-alives on an idle SSE tail (about 1 s).
+const TAIL_KEEPALIVE_TICKS: u32 = 10;
+
+/// The idle discipline shared by the long-lived SSE tails
+/// (`/replication/stream` and `/debug/events/tail`).  `wait` blocks for
+/// at most one [`TAIL_TICK`] and returns whether new data may be ready.
+/// After a quiet tick the peer is probed, and every
+/// [`TAIL_KEEPALIVE_TICKS`]-th quiet tick in a row sends `keepalive`.
+/// Returns `false` when the tail must end: the server is shutting down,
+/// the peer has gone, or the keep-alive write failed.
+fn tail_idle(
+    ctx: &ServerContext,
+    stream: &TcpStream,
+    quiet_ticks: &mut u32,
+    wait: impl FnOnce(Duration) -> bool,
+    keepalive: impl FnOnce() -> std::io::Result<()>,
+) -> bool {
+    let woke = wait(TAIL_TICK);
+    if ctx.shutting_down() {
+        return false;
+    }
+    if woke {
+        *quiet_ticks = 0;
+        return true;
+    }
+    if peer_disconnected(stream) {
+        return false;
+    }
+    *quiet_ticks += 1;
+    !quiet_ticks.is_multiple_of(TAIL_KEEPALIVE_TICKS) || keepalive().is_ok()
 }
 
 /// Whether the SSE peer has gone away.

@@ -17,7 +17,10 @@
 //!
 //! 1. the shutdown flag flips; a wake-up connection unblocks `accept`;
 //! 2. the acceptor drops the channel sender and exits;
-//! 3. handlers drain the channel and exit when it closes;
+//! 3. handlers drain the channel and exit when it closes — the endless
+//!    SSE tails (`/replication/stream`, `/debug/events/tail`) see the
+//!    flag on their next wake (at most one 100 ms tick) and close, so a
+//!    connected follower or event tail never holds shutdown up;
 //! 4. `Service::drain` waits out any remaining queued/executing queries.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,6 +101,7 @@ impl ServerBuilder {
             graph_source: self.graph_source,
             limits: self.limits,
             leader_url: self.leader_url,
+            shutdown: Arc::clone(&shutdown),
         });
 
         // A *bounded* hand-off queue: when every handler is busy and the

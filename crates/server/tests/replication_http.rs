@@ -7,8 +7,13 @@
 //!   `payload` is the hex of the exact on-disk record bytes (CRC framing
 //!   included) — [`banks_service::decode_record`] round-trips them;
 //! * `Last-Event-ID` resumes past what was already delivered;
+//! * the stream opens with a `head` event, before any idle keep-alive,
+//!   so a follower whose state is not the leader's history (its epoch is
+//!   ahead of the leader's) re-seeds at once;
 //! * a cursor behind the WAL truncation horizon gets a terminal
 //!   `bootstrap` event instead of records;
+//! * `Server::shutdown` returns while a follower and an event-log tail
+//!   are still connected;
 //! * `GET /replication/snapshot` serves the newest snapshot verbatim with
 //!   its epoch in `X-Banks-Snapshot-Epoch`;
 //! * a follower-role server 409s `POST /admin/mutate` and points the
@@ -17,10 +22,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
+use banks_replica::Follower;
 use banks_server::json::JsonValue;
 use banks_server::Server;
 use banks_service::{decode_record, FsyncPolicy, ReplicationRole, Service};
@@ -422,4 +428,155 @@ fn admin_slo_replaces_and_upserts_specs_at_runtime() {
     assert_eq!(status_of(&response), 405);
 
     server.shutdown();
+}
+
+#[test]
+fn the_stream_opens_with_a_head_before_any_idle_tick() {
+    let dir = tmp_dir("head");
+    let service = Arc::new(
+        Service::builder(padded_graph())
+            .workers(1)
+            .persistence(&dir, FsyncPolicy::Always)
+            .build(),
+    );
+    let epoch = service.epoch();
+    let server = Server::builder(Arc::clone(&service)).spawn().unwrap();
+
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    // Half the ~1 s idle keep-alive cadence: only a head sent on connect
+    // arrives within it.
+    conn.set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    conn.write_all(
+        format!("GET /replication/stream HTTP/1.1\r\nHost: t\r\nLast-Event-ID: {epoch}\r\n\r\n")
+            .as_bytes(),
+    )
+    .expect("send request");
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 1024];
+    let frames = loop {
+        let n = conn
+            .read(&mut buf)
+            .expect("an event within the 500 ms read timeout");
+        assert!(n > 0, "stream closed before its first event");
+        raw.extend_from_slice(&buf[..n]);
+        let text = String::from_utf8_lossy(&raw);
+        if let Some((_, body)) = text.split_once("\r\n\r\n") {
+            let frames = parse_sse(body);
+            if !frames.is_empty() {
+                break frames;
+            }
+        }
+    };
+    assert_eq!(frames[0].0, "head", "frames: {frames:?}");
+    let head = banks_server::json::parse(&frames[0].2).unwrap();
+    assert_eq!(
+        head.get("leader_epoch").and_then(JsonValue::as_usize),
+        Some(epoch as usize)
+    );
+    assert_eq!(
+        head.get("checkpoint_epoch").and_then(JsonValue::as_usize),
+        Some(service.durability().last_checkpoint_epoch as usize)
+    );
+    assert_eq!(head.get("pending").and_then(JsonValue::as_usize), Some(0));
+
+    drop(conn);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What a follower serves before it has replicated anything.
+fn placeholder_graph() -> DataGraph {
+    let mut b = GraphBuilder::new();
+    b.add_node("boot", "placeholder");
+    b.build_default()
+}
+
+/// Polls until `follower` serves `epoch`; returns how long that took.
+fn wait_for_epoch(follower: &Service, epoch: u64) -> Duration {
+    let started = Instant::now();
+    while follower.epoch() != epoch && started.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(follower.epoch(), epoch, "follower never caught up");
+    started.elapsed()
+}
+
+#[test]
+fn a_follower_ahead_of_the_leader_bootstraps_without_an_idle_tick() {
+    let dir = tmp_dir("ahead");
+    let leader = Arc::new(
+        Service::builder(padded_graph())
+            .workers(1)
+            .persistence(&dir, FsyncPolicy::Always)
+            .build(),
+    );
+    let report =
+        leader.apply_mutations(&MutationBatch::new().add_node("paper", "Shipped on connect"));
+    assert!(report.swapped);
+    let server = Server::builder(Arc::clone(&leader)).spawn().unwrap();
+
+    // Epochs come from one process-wide counter, so a placeholder built
+    // after the leader is numerically ahead of the leader's horizon: its
+    // cursor draws no `bootstrap` order, and only the leader's `head`
+    // tells it that its state is not the leader's history.
+    let follower = Arc::new(Service::builder(placeholder_graph()).workers(1).build());
+    assert!(follower.epoch() > leader.epoch());
+    let replicator = Follower::start(
+        Arc::clone(&follower),
+        &format!("http://{}", server.local_addr()),
+    )
+    .unwrap();
+    let took = wait_for_epoch(&follower, leader.epoch());
+    // The first idle head goes out about a second after connect; the head
+    // sent on connect lets the follower re-seed and replay well before.
+    assert!(
+        took < Duration::from_millis(600),
+        "caught up after {took:?}: the follower waited for an idle head"
+    );
+
+    drop(replicator);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shutdown_returns_while_a_follower_and_an_event_tail_are_connected() {
+    let dir = tmp_dir("shutdown");
+    let leader = Arc::new(
+        Service::builder(padded_graph())
+            .workers(1)
+            .persistence(&dir, FsyncPolicy::Always)
+            .build(),
+    );
+    let server = Server::builder(Arc::clone(&leader)).spawn().unwrap();
+    let addr = server.local_addr();
+
+    let follower = Arc::new(Service::builder(placeholder_graph()).workers(1).build());
+    let replicator = Follower::start(Arc::clone(&follower), &format!("http://{addr}")).unwrap();
+    let report = leader.apply_mutations(&MutationBatch::new().add_node("paper", "Tailed"));
+    assert!(report.swapped);
+    wait_for_epoch(&follower, leader.epoch());
+
+    // An event-log tail, connected once its stream head has arrived.
+    let mut tail = TcpStream::connect(addr).expect("connect");
+    tail.write_all(b"GET /debug/events/tail HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send request");
+    tail.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut buf = [0u8; 256];
+    assert!(tail.read(&mut buf).expect("tail stream head") > 0);
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("Server::shutdown must return within 2 s while tails are connected");
+    stopper.join().unwrap();
+
+    drop(replicator);
+    drop(tail);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

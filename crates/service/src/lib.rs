@@ -155,7 +155,7 @@ pub use banks_persist::{
 };
 pub use handle::{QueryEvent, QueryHandle, QueryId, QueryResult, RecvTimeout};
 pub use metrics::{QueueWaitSummary, ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
-pub use persistence::DurabilityStatus;
+pub use persistence::{CommittedRecord, DurabilityStatus};
 pub use replication::{ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus};
 pub use service::{parse_slo_specs, MutationReport, Service, ServiceBuilder, SubmitError};
 pub use shardset::ShardSet;

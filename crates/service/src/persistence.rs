@@ -10,12 +10,21 @@
 //! rotation threshold, and after a wholesale
 //! [`crate::Service::swap_graph`] (which bypasses the WAL and therefore
 //! must be made durable by a snapshot).
+//!
+//! The state also keeps the **committed tail** — the bytes of every WAL
+//! record since the last checkpoint, exactly as [`Wal::append_encoded`]
+//! wrote them — and a commit counter whose condition variable wakes the
+//! leader's replication stream (`Durable`).  The stream ships from the
+//! tail and never reads the WAL file.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use banks_obs::{Histogram, LatencySummary};
 use banks_persist::{
-    list_snapshots, snapshot_file_name, write_snapshot, PersistError, PersistOptions, Wal, WalScan,
+    encode_record, list_snapshots, snapshot_file_name, write_snapshot, PersistError,
+    PersistOptions, Wal, WalScan,
 };
 
 use crate::snapshot::GraphSnapshot;
@@ -51,7 +60,34 @@ pub struct DurabilityStatus {
     pub wal_fsync: LatencySummary,
 }
 
-/// The mutable durability state guarded by `Inner::persistence`.
+/// One WAL record since the last checkpoint, as the leader committed it:
+/// its header fields plus the record bytes exactly as they sit in the WAL
+/// file (CRC framing included) — what `GET /replication/stream` ships.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommittedRecord {
+    /// Sequence number within the WAL file (starts at 1 after each
+    /// checkpoint).
+    pub seq: u64,
+    /// Epoch of the graph version the batch was applied to.
+    pub parent_epoch: u64,
+    /// Epoch of the graph version the batch produced.
+    pub epoch: u64,
+    /// The encoded record, byte-identical to its span of the WAL file.
+    pub bytes: Arc<[u8]>,
+}
+
+impl CommittedRecord {
+    fn new(seq: u64, parent_epoch: u64, epoch: u64, bytes: Vec<u8>) -> Self {
+        CommittedRecord {
+            seq,
+            parent_epoch,
+            epoch,
+            bytes: bytes.into(),
+        }
+    }
+}
+
+/// The mutable durability state guarded by [`Durable`].
 pub(crate) struct Persistence {
     dir: PathBuf,
     wal: Wal,
@@ -61,31 +97,37 @@ pub(crate) struct Persistence {
     replayed_records: u64,
     last_error: Option<String>,
     checkpoint_hist: Histogram,
+    /// Every record in the WAL file, in file order: appended with the WAL,
+    /// cleared when a checkpoint truncates it.
+    tail: Vec<CommittedRecord>,
+    /// Commits published so far (see [`Durable::publish`]).
+    commits: u64,
 }
 
 impl Persistence {
     /// Wraps a freshly-created WAL for a directory with no prior state.
     pub(crate) fn fresh(dir: &Path, wal: Wal, options: PersistOptions) -> Self {
-        Persistence {
-            dir: dir.to_path_buf(),
-            wal,
-            options,
-            last_checkpoint_epoch: 0,
-            checkpoints: 0,
-            replayed_records: 0,
-            last_error: None,
-            checkpoint_hist: Histogram::new(),
-        }
+        Self::recovered(dir, wal, options, 0, &WalScan::default(), 0)
     }
 
-    /// Wraps the WAL re-opened after recovery.
+    /// Wraps the WAL re-opened after recovery; `scan` is the recovery scan
+    /// the WAL was opened after, which seeds the committed tail.
     pub(crate) fn recovered(
         dir: &Path,
         wal: Wal,
         options: PersistOptions,
         snapshot_epoch: u64,
+        scan: &WalScan,
         replayed_records: u64,
     ) -> Self {
+        let tail = scan
+            .records
+            .iter()
+            .map(|r| {
+                let bytes = encode_record(r.seq, r.parent_epoch, r.epoch, &r.batch);
+                CommittedRecord::new(r.seq, r.parent_epoch, r.epoch, bytes)
+            })
+            .collect();
         Persistence {
             dir: dir.to_path_buf(),
             wal,
@@ -95,6 +137,8 @@ impl Persistence {
             replayed_records,
             last_error: None,
             checkpoint_hist: Histogram::new(),
+            tail,
+            commits: 0,
         }
     }
 
@@ -119,12 +163,16 @@ impl Persistence {
         batch: &banks_graph::MutationBatch,
     ) -> Result<u64, PersistError> {
         let syncs_before = self.wal.syncs();
-        match self.wal.append(parent_epoch, epoch, batch) {
-            Ok(_) => Ok(if self.wal.syncs() > syncs_before {
-                self.wal.last_sync_micros()
-            } else {
-                0
-            }),
+        match self.wal.append_encoded(parent_epoch, epoch, batch) {
+            Ok((seq, bytes)) => {
+                self.tail
+                    .push(CommittedRecord::new(seq, parent_epoch, epoch, bytes));
+                Ok(if self.wal.syncs() > syncs_before {
+                    self.wal.last_sync_micros()
+                } else {
+                    0
+                })
+            }
             Err(e) => {
                 self.last_error = Some(e.to_string());
                 Err(e)
@@ -142,9 +190,13 @@ impl Persistence {
         &self.dir
     }
 
-    /// Path of the live WAL file (the replication stream's source).
-    pub(crate) fn wal_path(&self) -> PathBuf {
-        self.dir.join(banks_persist::WAL_FILE)
+    /// Committed records with `epoch > from_epoch`, in log order.  Epochs
+    /// ascend along the tail — every append carries an epoch above the one
+    /// it was applied to, which was the newest — so a binary search finds
+    /// the first.
+    pub(crate) fn records_after(&self, from_epoch: u64) -> Vec<CommittedRecord> {
+        let first = self.tail.partition_point(|r| r.epoch <= from_epoch);
+        self.tail[first..].to_vec()
     }
 
     /// Deletes every on-disk snapshot.  A follower bootstrap invalidates
@@ -176,6 +228,7 @@ impl Persistence {
         .and_then(|_| self.wal.reset());
         match result {
             Ok(()) => {
+                self.tail.clear();
                 self.checkpoint_hist.record(started.elapsed());
                 self.last_checkpoint_epoch = epoch;
                 self.checkpoints += 1;
@@ -211,5 +264,53 @@ impl Persistence {
             checkpoint_latency: self.checkpoint_hist.summary(),
             wal_fsync: self.wal.fsync_latency(),
         }
+    }
+}
+
+/// [`Persistence`] behind its mutex, paired with the condition variable
+/// that signals commits.  The leader's replication stream waits here
+/// instead of polling the WAL.
+pub(crate) struct Durable {
+    state: Mutex<Persistence>,
+    committed: Condvar,
+}
+
+impl Durable {
+    pub(crate) fn new(state: Persistence) -> Self {
+        Durable {
+            state: Mutex::new(state),
+            committed: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Persistence> {
+        self.state.lock().expect("persistence lock")
+    }
+
+    /// Commits published so far.
+    pub(crate) fn commits(&self) -> u64 {
+        self.lock().commits
+    }
+
+    /// Publishes a commit: bumps the counter and wakes every waiter.  The
+    /// service calls this once per committing call (a mutation batch, a
+    /// replicated record, a snapshot install, a checkpoint, a swap) when
+    /// that call is done — for a mutation batch, **after** the caller's
+    /// continuation (the `/admin/mutate` ack) has run.  The counter
+    /// therefore never moves ahead of the acknowledgement, and a waiter is
+    /// never released before it.
+    pub(crate) fn publish(&self) {
+        self.lock().commits += 1;
+        self.committed.notify_all();
+    }
+
+    /// Blocks until the counter moves past `seen` or `timeout` elapses;
+    /// returns the counter.
+    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
+        let (state, _) = self
+            .committed
+            .wait_timeout_while(self.lock(), timeout, |p| p.commits == seen)
+            .expect("persistence lock");
+        state.commits
     }
 }

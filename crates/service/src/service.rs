@@ -22,15 +22,14 @@ use banks_obs::{
     SloReport, SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
 };
 use banks_persist::{
-    list_snapshots, recover, replay_wal, scan_file, FsyncPolicy, PersistError, PersistOptions, Wal,
-    WalRecord,
+    list_snapshots, recover, replay_wal, FsyncPolicy, PersistError, PersistOptions, Wal, WalRecord,
 };
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, KeywordMatches};
 
 use crate::handle::{HandleState, QueryEvent, QueryHandle, QueryId, QueryResult};
 use crate::metrics::{Counters, ServiceMetrics, WaitStats};
-use crate::persistence::{DurabilityStatus, Persistence};
+use crate::persistence::{CommittedRecord, DurabilityStatus, Durable, Persistence};
 use crate::quota::{QuotaConfig, QuotaSettings, QuotaState};
 use crate::replication::{
     ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationState, ReplicationStatus,
@@ -368,10 +367,11 @@ struct Inner {
     /// queries are admitted or executed — the delta build happens outside
     /// the serving lock.
     mutate: Mutex<()>,
-    /// Durability state (WAL + checkpoint bookkeeping); `None` when the
-    /// service was built without [`ServiceBuilder::persistence`].  Lock
-    /// order: `mutate` → `persistence` (never the reverse).
-    persistence: Option<Mutex<Persistence>>,
+    /// Durability state (WAL + checkpoint bookkeeping, the committed
+    /// tail and its commit signal); `None` when the service was built
+    /// without [`ServiceBuilder::persistence`].  Lock order: `mutate` →
+    /// `persistence` (never the reverse).
+    persistence: Option<Durable>,
     /// Ring of recently applied mutation batches (epoch transitions and
     /// accept/reject counts), bounded by
     /// [`ServiceBuilder::mutation_log_capacity`].
@@ -743,6 +743,7 @@ impl ServiceBuilder {
                             wal,
                             options,
                             recovery.snapshot_epoch,
+                            &recovery.wal,
                             replayed as u64,
                         );
                         events.emit(
@@ -796,7 +797,7 @@ impl ServiceBuilder {
             quota: quota_enabled.then(|| Mutex::new(QuotaState::new(self.quota.clone()))),
             quota_settings: quota_enabled.then_some(self.quota),
             mutate: Mutex::new(()),
-            persistence: persistence.map(Mutex::new),
+            persistence: persistence.map(Durable::new),
             mutation_log: Mutex::new(MutationLog::new(self.log_capacity)),
             counters: Counters::default(),
             waits: Mutex::new(WaitStats::default()),
@@ -1340,7 +1341,38 @@ impl Service {
     /// A swap that triggered compaction, or a WAL past its rotation
     /// threshold, checkpoints immediately afterwards (snapshot + WAL
     /// truncation), off the freshly-swapped snapshot.
+    ///
+    /// A committed batch wakes the replication stream
+    /// ([`Service::wait_for_commit`]) when this call returns; use
+    /// [`Service::apply_mutations_with`] to act before that wake.
     pub fn apply_mutations(&self, batch: &MutationBatch) -> MutationReport {
+        self.apply_mutations_with(batch, |_| {})
+    }
+
+    /// [`Service::apply_mutations`] with an *on committed* continuation:
+    /// `on_committed` runs once the batch's outcome is final (committed,
+    /// rejected, or refused by a failed WAL append), after every service
+    /// lock is released and **before** a committed batch wakes the
+    /// replication stream.  The HTTP `POST /admin/mutate` route writes its
+    /// acknowledgement here: on a small host a woken co-located follower
+    /// would otherwise preempt the ack and the writer would pay for the
+    /// replica's apply.
+    pub fn apply_mutations_with(
+        &self,
+        batch: &MutationBatch,
+        on_committed: impl FnOnce(&MutationReport),
+    ) -> MutationReport {
+        let report = self.commit_mutations(batch);
+        on_committed(&report);
+        if report.swapped {
+            self.publish_commit();
+        }
+        report
+    }
+
+    /// The body of [`Service::apply_mutations`]: everything up to and
+    /// including the post-swap checkpoint, under the admin lock.
+    fn commit_mutations(&self, batch: &MutationBatch) -> MutationReport {
         /// Overlay fraction beyond which the successor graph is flattened.
         const COMPACT_OVERLAY_RATIO: f64 = 0.25;
 
@@ -1379,7 +1411,7 @@ impl Service {
         let mut wal_span = None;
         let mut fsync_us = 0u64;
         if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
+            let mut persistence = persistence.lock();
             let wal_start_us = elapsed_us();
             match persistence.append(previous_epoch, next.epoch(), batch) {
                 Ok(sync_us) => {
@@ -1444,7 +1476,7 @@ impl Service {
         // durable in the WAL.
         let mut checkpoint_span = None;
         if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
+            let mut persistence = persistence.lock();
             if compacted || persistence.wants_rotation() {
                 let checkpoint_start_us = elapsed_us();
                 let snapshot = self.snapshot();
@@ -1536,7 +1568,7 @@ impl Service {
             .then(|| GraphPartition::build(snapshot.graph(), ShardSpec::new(self.inner.shards)));
         let epoch = self.swap_snapshot_inner(snapshot, partition);
         if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
+            let mut persistence = persistence.lock();
             let current = self.snapshot();
             if persistence.checkpoint(&current).is_ok() {
                 self.inner.events.emit(
@@ -1546,6 +1578,7 @@ impl Service {
                 );
             }
         }
+        self.publish_commit();
         epoch
     }
 
@@ -1595,10 +1628,8 @@ impl Service {
             return Err(PersistError::Disabled);
         };
         let snapshot = self.snapshot();
-        let epoch = persistence
-            .lock()
-            .expect("persistence lock")
-            .checkpoint(&snapshot)?;
+        let epoch = persistence.lock().checkpoint(&snapshot)?;
+        persistence.publish();
         self.inner.events.emit(
             EventLevel::Info,
             "checkpoint",
@@ -1613,7 +1644,7 @@ impl Service {
     /// built without a data directory.
     pub fn durability(&self) -> DurabilityStatus {
         match &self.inner.persistence {
-            Some(persistence) => persistence.lock().expect("persistence lock").status(),
+            Some(persistence) => persistence.lock().status(),
             None => DurabilityStatus::default(),
         }
     }
@@ -1706,7 +1737,7 @@ impl Service {
         // applies nothing, so disk and memory stay consistent and the
         // caller can retry the same record.
         if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
+            let mut persistence = persistence.lock();
             if let Err(e) = persistence.append(record.parent_epoch, record.epoch, &record.batch) {
                 return Err(ReplicationApplyError::Persist(e.to_string()));
             }
@@ -1740,7 +1771,7 @@ impl Service {
         // flat snapshot anyway, and a WAL past its rotation threshold is
         // due for truncation.
         if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
+            let mut persistence = persistence.lock();
             if compacted || persistence.wants_rotation() {
                 let snapshot = self.snapshot();
                 if persistence.checkpoint(&snapshot).is_ok() {
@@ -1753,6 +1784,7 @@ impl Service {
             }
         }
         self.note_applied_locked(epoch);
+        self.publish_commit();
         Ok(ReplicatedApply {
             epoch,
             applied: true,
@@ -1775,7 +1807,7 @@ impl Service {
             self.swap_snapshot_inner(snapshot, partition);
         }
         if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
+            let mut persistence = persistence.lock();
             // Pre-bootstrap snapshots carry locally-minted epochs that are
             // not ordered against the leader's; newest-epoch retention
             // would keep (or even prefer) them, so wipe before writing the
@@ -1791,6 +1823,7 @@ impl Service {
             }
         }
         self.note_applied_locked(epoch);
+        self.publish_commit();
         epoch
     }
 
@@ -1804,10 +1837,13 @@ impl Service {
     }
 
     /// WAL records with `epoch > from_epoch`, in log order — the payload
-    /// of the leader's `GET /replication/stream`.  Scanned under the
+    /// of the leader's `GET /replication/stream`.  Served from the
+    /// committed tail the persistence state keeps in memory (the exact
+    /// bytes of every record since the last checkpoint), under the
     /// persistence lock, so the returned prefix is consistent with
-    /// concurrent appends.  [`PersistError::Disabled`] when the service
-    /// has no data directory (nothing to stream).
+    /// concurrent appends; the WAL file is not read.
+    /// [`PersistError::Disabled`] when the service has no data directory
+    /// (nothing to stream).
     ///
     /// An empty result does **not** distinguish "caught up" from
     /// "truncated past you": compare `from_epoch` against
@@ -1817,17 +1853,46 @@ impl Service {
     pub fn replication_records_after(
         &self,
         from_epoch: u64,
-    ) -> Result<Vec<WalRecord>, PersistError> {
+    ) -> Result<Vec<CommittedRecord>, PersistError> {
         let Some(persistence) = &self.inner.persistence else {
             return Err(PersistError::Disabled);
         };
-        let persistence = persistence.lock().expect("persistence lock");
-        let scan = scan_file(&persistence.wal_path())?;
-        Ok(scan
-            .records
-            .into_iter()
-            .filter(|r| r.epoch > from_epoch)
-            .collect())
+        Ok(persistence.lock().records_after(from_epoch))
+    }
+
+    /// Commits published so far: WAL appends and checkpoints, counted once
+    /// per committing call.  Pair with [`Service::wait_for_commit`].
+    /// Always 0 without persistence.
+    pub fn commit_count(&self) -> u64 {
+        self.inner.persistence.as_ref().map_or(0, Durable::commits)
+    }
+
+    /// Blocks until the commit count moves past `seen` or `timeout`
+    /// elapses, and returns the count — the leader's replication stream
+    /// waits here between shipments instead of polling.
+    ///
+    /// A commit is published when the committing call is done:
+    /// [`Service::apply_mutations_with`] publishes after its continuation
+    /// has run; [`Service::apply_replicated`],
+    /// [`Service::install_replicated_snapshot`], [`Service::checkpoint`]
+    /// and the swap paths at their end.  Without persistence nothing ever
+    /// commits, so this sleeps out `timeout`.
+    pub fn wait_for_commit(&self, seen: u64, timeout: Duration) -> u64 {
+        match &self.inner.persistence {
+            Some(persistence) => persistence.wait_past(seen, timeout),
+            None => {
+                std::thread::sleep(timeout);
+                seen
+            }
+        }
+    }
+
+    /// Wakes [`Service::wait_for_commit`] callers.  A no-op without
+    /// persistence.
+    fn publish_commit(&self) {
+        if let Some(persistence) = &self.inner.persistence {
+            persistence.publish();
+        }
     }
 
     /// Epoch and path of the newest on-disk snapshot — what
@@ -1838,7 +1903,7 @@ impl Service {
         let Some(persistence) = &self.inner.persistence else {
             return Err(PersistError::Disabled);
         };
-        let persistence = persistence.lock().expect("persistence lock");
+        let persistence = persistence.lock();
         Ok(list_snapshots(persistence.dir())?.into_iter().next())
     }
 

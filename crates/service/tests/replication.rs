@@ -1,16 +1,21 @@
-//! Follower-side replication through the service API: WAL record apply
+//! Replication through the service API: WAL record apply
 //! (`Service::apply_replicated`), snapshot bootstrap
 //! (`Service::install_replicated_snapshot`), idempotent stream resume,
-//! epoch-gap detection, local durability of replicated state, and the
-//! runtime SLO configuration surface.
+//! epoch-gap detection, local durability of replicated state, the
+//! runtime SLO configuration surface, and the leader side the stream is
+//! served from — the commit signal (`Service::wait_for_commit`) and the
+//! committed tail (`Service::replication_records_after`), which must
+//! match the WAL file byte for byte.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
-use banks_persist::read_snapshot;
+use banks_persist::{read_snapshot, scan_file, WAL_FILE};
 use banks_service::{
-    parse_slo_specs, FsyncPolicy, GraphSnapshot, QuerySpec, ReplicationApplyError, ReplicationRole,
-    Service, SloSpec,
+    decode_record, encode_record, parse_slo_specs, FsyncPolicy, GraphSnapshot, QuerySpec,
+    ReplicationApplyError, ReplicationRole, Service, SloSpec, WalRecord,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -90,6 +95,17 @@ fn bootstrap_follower(leader: &Service, follower: &Service) -> u64 {
     installed
 }
 
+/// The leader's WAL records, decoded from the shipped bytes the way a
+/// follower decodes a `record` event.
+fn shipped_records(leader: &Service) -> Vec<WalRecord> {
+    leader
+        .replication_records_after(0)
+        .unwrap()
+        .iter()
+        .map(|r| decode_record(&r.bytes).unwrap().0)
+        .collect()
+}
+
 fn leader_batches() -> Vec<MutationBatch> {
     // The base graph has 47 nodes (7 core + 40 filler), so the two nodes
     // the first batch adds get ids 47 and 48.
@@ -121,7 +137,7 @@ fn follower_replays_the_leader_wal_to_the_same_epoch_and_answers() {
         assert!(leader.apply_mutations(&batch).swapped);
     }
 
-    let records = leader.replication_records_after(0).unwrap();
+    let records = shipped_records(&leader);
     assert_eq!(records.len(), 3, "one WAL record per applied batch");
     for record in &records {
         let applied = follower.apply_replicated(record).unwrap();
@@ -155,7 +171,7 @@ fn resumed_streams_are_idempotent() {
     for batch in leader_batches() {
         leader.apply_mutations(&batch);
     }
-    let records = leader.replication_records_after(0).unwrap();
+    let records = shipped_records(&leader);
     for record in &records {
         follower.apply_replicated(record).unwrap();
     }
@@ -181,7 +197,7 @@ fn a_record_past_the_serving_epoch_is_an_epoch_gap() {
     for batch in leader_batches() {
         leader.apply_mutations(&batch);
     }
-    let records = leader.replication_records_after(0).unwrap();
+    let records = shipped_records(&leader);
     // Skip the first record: the second builds on an epoch the follower
     // never saw, which must not be silently applied.
     let err = follower.apply_replicated(&records[1]).unwrap_err();
@@ -225,7 +241,7 @@ fn replicated_state_is_durable_in_the_follower_wal() {
         for batch in leader_batches() {
             leader.apply_mutations(&batch);
         }
-        for record in &leader.replication_records_after(0).unwrap() {
+        for record in &shipped_records(&leader) {
             follower.apply_replicated(record).unwrap();
         }
         assert_eq!(follower.epoch(), leader.epoch());
@@ -362,4 +378,179 @@ fn slo_specs_parse_from_json_and_swap_at_runtime() {
 
     let missing = Service::builder(decoy()).slos_from_path(dir.join("absent.json"));
     assert!(missing.is_err());
+}
+
+/// A commit-signal waiter's timeout: long enough that a waiter released
+/// early can only have been woken by a commit.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+#[test]
+fn a_mutation_wakes_a_commit_waiter_after_its_continuation() {
+    let dir = tmp_dir("wake-mutate");
+    let leader = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&dir, FsyncPolicy::Always)
+        .build();
+    let seen = leader.commit_count();
+    let (ack_tx, ack_rx) = mpsc::channel();
+    let leader = &leader;
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(move || {
+            let now = leader.wait_for_commit(seen, WAKE_TIMEOUT);
+            // Released by the commit, and only once the continuation ran.
+            (now, ack_rx.try_recv().is_ok())
+        });
+        let report = leader.apply_mutations_with(&leader_batches()[0], |report| {
+            assert!(report.swapped);
+            // Hold the continuation open so that a wake issued before it
+            // finished would find the channel still empty.
+            std::thread::sleep(Duration::from_millis(50));
+            let _ = ack_tx.send(report.epoch);
+        });
+        assert!(report.swapped);
+        let (now, continuation_ran) = waiter.join().unwrap();
+        assert!(now > seen, "the commit released the waiter");
+        assert!(continuation_ran, "woken before the continuation finished");
+    });
+    assert_eq!(leader.commit_count(), seen + 1, "one commit per batch");
+}
+
+#[test]
+fn a_checkpoint_wakes_a_commit_waiter() {
+    let dir = tmp_dir("wake-checkpoint");
+    let leader = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&dir, FsyncPolicy::Always)
+        .build();
+    let seen = leader.commit_count();
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| leader.wait_for_commit(seen, WAKE_TIMEOUT));
+        leader.checkpoint().unwrap();
+        assert!(waiter.join().unwrap() > seen);
+    });
+}
+
+#[test]
+fn a_commit_waiter_times_out_when_nothing_commits() {
+    let dir = tmp_dir("wake-timeout");
+    let leader = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&dir, FsyncPolicy::Always)
+        .build();
+    let seen = leader.commit_count();
+    assert_eq!(
+        leader.wait_for_commit(seen, Duration::from_millis(20)),
+        seen
+    );
+    // A rejected batch commits nothing either.
+    let rejected = leader.apply_mutations(&MutationBatch::new().add_edge(NodeId(0), NodeId(9999)));
+    assert!(!rejected.swapped);
+    assert_eq!(
+        leader.wait_for_commit(seen, Duration::from_millis(20)),
+        seen
+    );
+}
+
+/// xorshift64: a dependency-free deterministic stream for the random
+/// mutation chain below.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// One random batch of 1–4 ops over the current node range; some ops may
+/// be rejected (a removed node, a missing edge), as in real traffic.
+fn random_batch(rng: &mut Rng, nodes: u64, step: usize) -> MutationBatch {
+    let mut batch = MutationBatch::new();
+    for op in 0..1 + rng.below(4) {
+        let a = NodeId(rng.below(nodes) as u32);
+        let b = NodeId(rng.below(nodes) as u32);
+        batch = match rng.below(5) {
+            0 => batch.add_node("paper", format!("random paper {step}.{op}")),
+            1 => batch.add_edge(a, b),
+            2 => batch.set_label(a, format!("relabelled {step}.{op}")),
+            3 => batch.set_weight(a, b, 1.0 + rng.below(8) as f64),
+            _ => batch.remove_node(a),
+        };
+    }
+    batch
+}
+
+/// The committed tail must be the WAL file, byte for byte: each shipped
+/// record equals its scanned record re-encoded, and together they are
+/// exactly the file after its header.
+fn assert_tail_matches_disk(service: &Service, dir: &Path) {
+    let tail = service.replication_records_after(0).unwrap();
+    let scan = scan_file(&dir.join(WAL_FILE)).unwrap();
+    assert!(scan.anomaly.is_none(), "{:?}", scan.anomaly);
+    assert_eq!(tail.len(), scan.records.len());
+    for (shipped, on_disk) in tail.iter().zip(&scan.records) {
+        let reencoded = encode_record(
+            on_disk.seq,
+            on_disk.parent_epoch,
+            on_disk.epoch,
+            &on_disk.batch,
+        );
+        assert_eq!(&shipped.bytes[..], &reencoded[..], "seq {}", on_disk.seq);
+        assert_eq!(
+            (shipped.seq, shipped.parent_epoch, shipped.epoch),
+            (on_disk.seq, on_disk.parent_epoch, on_disk.epoch)
+        );
+    }
+    // A cursor at any shipped epoch resumes with exactly the rest.
+    for (i, record) in tail.iter().enumerate() {
+        let rest = service.replication_records_after(record.epoch).unwrap();
+        assert_eq!(rest, tail[i + 1..], "resume after epoch {}", record.epoch);
+    }
+    let file = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    let joined: Vec<u8> = tail.iter().flat_map(|r| r.bytes.iter().copied()).collect();
+    assert_eq!(&file[file.len() - joined.len()..], &joined[..]);
+    assert_eq!(
+        file.len() - joined.len(),
+        16,
+        "only the WAL header precedes"
+    );
+}
+
+#[test]
+fn the_committed_tail_never_drifts_from_the_wal_file() {
+    let dir = tmp_dir("tail-drift");
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+    let mut step = 0;
+    let mut run_chain = |service: &Service, batches: usize| {
+        for _ in 0..batches {
+            let nodes = service.snapshot().graph().num_nodes() as u64;
+            service.apply_mutations(&random_batch(&mut rng, nodes, step));
+            step += 1;
+        }
+    };
+    {
+        let leader = Service::builder(dblp_like())
+            .workers(1)
+            .persistence(&dir, FsyncPolicy::EveryN(4))
+            .build();
+        run_chain(&leader, 12);
+        assert_tail_matches_disk(&leader, &dir);
+        assert!(!leader.replication_records_after(0).unwrap().is_empty());
+        leader.checkpoint().unwrap();
+        assert_tail_matches_disk(&leader, &dir);
+        assert!(leader.replication_records_after(0).unwrap().is_empty());
+        run_chain(&leader, 12);
+        assert_tail_matches_disk(&leader, &dir);
+        // Dropped without a checkpoint: the reopen below replays the WAL.
+    }
+    let reopened = Service::builder(decoy())
+        .workers(1)
+        .persistence(&dir, FsyncPolicy::EveryN(4))
+        .build();
+    assert!(reopened.durability().replayed_records > 0);
+    assert_tail_matches_disk(&reopened, &dir);
+    run_chain(&reopened, 6);
+    assert_tail_matches_disk(&reopened, &dir);
 }

@@ -17,11 +17,14 @@
 //! metrics rows.
 //!
 //! `--serve [addr]` just serves until killed — the mode CI's smoke step
-//! (and any curl exploration) uses.  Adding `--data-dir <dir>` makes the
-//! served graph durable: every accepted `POST /admin/mutate` batch is
-//! WAL-logged before it is acknowledged, `POST /admin/checkpoint` forces a
-//! snapshot, and a restart (even after `kill -9`) recovers the pre-crash
-//! graph from the directory instead of regenerating the corpus.
+//! (and any curl exploration) uses.  With `--stop-file <path>` it instead
+//! serves until `<path>` exists, then shuts the server down gracefully
+//! (`Server::shutdown`, even with followers still tailing) and exits 0.
+//! Adding `--data-dir <dir>` makes the served graph durable: every
+//! accepted `POST /admin/mutate` batch is WAL-logged before it is
+//! acknowledged, `POST /admin/checkpoint` forces a snapshot, and a
+//! restart (even after `kill -9`) recovers the pre-crash graph from the
+//! directory instead of regenerating the corpus.
 //! `--shards K` partitions the served graph into `K` shards: the
 //! `scatter-gather` engine family fans each query out across per-shard
 //! engines and merges the streams, byte-identical to unsharded execution.
@@ -81,7 +84,12 @@ fn main() {
             .position(|a| a == "--replicate-from")
             .and_then(|i| args.get(i + 1))
             .cloned();
-        serve_forever(addr, data_dir, shards, replicate_from);
+        let stop_file = args
+            .iter()
+            .position(|a| a == "--stop-file")
+            .and_then(|i| args.get(i + 1))
+            .cloned();
+        serve_forever(addr, data_dir, shards, replicate_from, stop_file);
         return;
     }
     workload_demo();
@@ -91,8 +99,15 @@ fn main() {
 /// `--data-dir`, the service recovers whatever the directory holds (the
 /// generated corpus only seeds an empty directory), uses the default
 /// label index so recovery needs nothing beyond the graph, and fsyncs
-/// every mutation before acknowledging it.
-fn serve_forever(addr: &str, data_dir: Option<String>, shards: usize, leader: Option<String>) {
+/// every mutation before acknowledging it.  With a stop file, the
+/// process shuts down gracefully once that file appears.
+fn serve_forever(
+    addr: &str,
+    data_dir: Option<String>,
+    shards: usize,
+    leader: Option<String>,
+    stop_file: Option<String>,
+) {
     let service = match &data_dir {
         Some(dir) => {
             let data = DblpDataset::generate(DblpConfig {
@@ -175,9 +190,17 @@ fn serve_forever(addr: &str, data_dir: Option<String>, shards: usize, leader: Op
         server.local_addr()
     );
     println!("  curl -N http://{}/debug/events/tail", server.local_addr());
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
+    let Some(stop_file) = stop_file else {
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        }
+    };
+    while !std::path::Path::new(&stop_file).exists() {
+        std::thread::sleep(Duration::from_millis(100));
     }
+    println!("stop file {stop_file} found: shutting down");
+    server.shutdown();
+    println!("server shut down cleanly");
 }
 
 /// One HTTP query round-trip: returns (status, answers seen, client TTFA).
