@@ -59,7 +59,7 @@ pub use graph::{DataGraph, EdgeRef, GraphMemory, StorageParts, StorageRef};
 pub use ids::{EdgeId, KindId, NodeId};
 pub use mutation::{BatchOutcome, GraphMutation, LabelChange, MutationBatch, OpEffect};
 pub use node::{EdgeKind, NodeMeta};
-pub use partition::{GraphPartition, ShardSpec, ShardStats, ShardSubgraph};
+pub use partition::{ShardSpec, ShardStats};
 pub use stats::GraphStats;
 pub use store::{AppliedBatch, GraphStore, MutationLog, DEFAULT_LOG_CAPACITY};
 pub use weights::{BackwardWeightPolicy, ExpansionPolicy};

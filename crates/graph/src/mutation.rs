@@ -271,8 +271,9 @@ pub struct LabelChange {
 }
 
 /// Everything [`DataGraph::apply_batch`] reports back: per-op results plus
-/// the delta the derived structures (prestige, keyword index) need.
-#[derive(Clone, Debug)]
+/// the delta the derived structures (prestige, keyword index) need.  The
+/// default is the outcome of running no op at all.
+#[derive(Clone, Debug, Default)]
 pub struct BatchOutcome {
     /// One result per op, in batch order: the effect, or why the op was
     /// rejected.  Rejected ops change nothing.

@@ -1,51 +1,21 @@
-//! Hash partitioning of a [`DataGraph`] into K shards with boundary-node
-//! replication.
+//! Hash ownership of nodes across K shards.
 //!
-//! The sharded execution tier (`banks-service`'s `ShardSet` and the
-//! `scatter-gather` engine in `banks-core`) needs a deterministic,
-//! mutation-friendly decomposition of the graph:
-//!
-//! * **Ownership** — every node is owned by exactly one shard, chosen by a
-//!   stable hash of its [`NodeId`] ([`ShardSpec::owner`]).  The hash is a
-//!   pure function of the id, so a node added later — on any replica, after
-//!   any crash — lands on the same shard without coordination.
-//! * **Edge cut** — a forward edge `u -> v` is owned by `owner(u)` (the
-//!   tail rule).  When `owner(v) != owner(u)` the edge is *cut*: the head
-//!   is materialised in the tail's shard as a **boundary replica**, and the
-//!   edge is also replicated into the head's shard (with the tail as the
-//!   boundary replica there), so either side of the cut can traverse it
-//!   locally.
-//! * **Union reconstruction** — concatenating the owned nodes of every
-//!   shard and the owned edges of every shard reproduces the original
-//!   graph's node set and forward-edge multiset exactly (the property the
-//!   tests below assert).  Derived backward-edge weights inside a shard
-//!   subgraph follow the *shard-local* in-degree and are therefore not
-//!   comparable to the union graph's — queries always run against the
-//!   union; the shard subgraphs exist for storage accounting, mutation
-//!   fan-out and future shard-local execution.
-//!
-//! [`GraphPartition::apply_ops`] keeps the shards in sync with the union
-//! under the incremental mutation path: accepted [`GraphMutation`]s fan out
-//! to the owning shard(s), creating boundary replicas lazily.
+//! The sharded execution tier (the `scatter-gather` engine in `banks-core`)
+//! groups its work by the shard that owns each node.  Every node is owned
+//! by exactly one shard, chosen by a stable hash of its [`NodeId`]
+//! ([`ShardSpec::owner`]).  The hash is a pure function of the id, so a
+//! node added later — on any replica, after any crash — lands on the same
+//! shard without coordination, and no per-shard state has to be kept in
+//! sync with the graph.
 
-use std::collections::HashMap;
-
-use crate::builder::GraphBuilder;
 use crate::graph::DataGraph;
 use crate::ids::NodeId;
-use crate::mutation::{GraphMutation, MutationBatch};
-use crate::node::EdgeKind;
-
-/// How eagerly a shard subgraph's copy-on-write overlay is folded back into
-/// flat storage after mutation fan-out; mirrors the service-level
-/// compaction trigger.
-const COMPACT_OVERLAY_RATIO: f64 = 0.25;
 
 /// The partitioning function: how many shards, and which shard owns a node.
 ///
 /// Ownership is a stable splitmix64-style hash of the node id — independent
 /// of graph contents, insertion order and process lifetime, so every
-/// participant (partitioner, merge engine, recovery) agrees on placement
+/// participant (merge engine, metrics, recovery) agrees on placement
 /// without coordination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
@@ -74,6 +44,19 @@ impl ShardSpec {
         }
         (mix64(node.0 as u64) % self.shards as u64) as usize
     }
+
+    /// How many of `graph`'s nodes each shard owns, one row per shard.
+    pub fn stats(&self, graph: &DataGraph) -> Vec<ShardStats> {
+        let mut owned = vec![0usize; self.shards];
+        for node in graph.nodes() {
+            owned[self.owner(node)] += 1;
+        }
+        owned
+            .into_iter()
+            .enumerate()
+            .map(|(shard, owned_nodes)| ShardStats { shard, owned_nodes })
+            .collect()
+    }
 }
 
 impl Default for ShardSpec {
@@ -93,73 +76,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One shard's materialised subgraph: the nodes it owns, the boundary
-/// replicas cut edges pulled in, and a local-id [`DataGraph`] over both.
-#[derive(Clone, Debug)]
-pub struct ShardSubgraph {
-    graph: DataGraph,
-    /// Global ids by local index: owned nodes first (in global id order at
-    /// build time), then boundary replicas in order of first appearance.
-    nodes: Vec<NodeId>,
-    to_local: HashMap<NodeId, u32>,
-    owned_nodes: usize,
-    owned_edges: usize,
-    cut_edges: usize,
-}
-
-impl ShardSubgraph {
-    /// The shard-local graph (local dense ids; see [`Self::global_id`]).
-    pub fn graph(&self) -> &DataGraph {
-        &self.graph
-    }
-
-    /// Global ids indexed by local id.
-    pub fn global_ids(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Local id of a global node, if this shard materialises it.
-    pub fn local_id(&self, global: NodeId) -> Option<NodeId> {
-        self.to_local.get(&global).map(|i| NodeId(*i))
-    }
-
-    /// Global id behind a local id.
-    pub fn global_id(&self, local: NodeId) -> Option<NodeId> {
-        self.nodes.get(local.index()).copied()
-    }
-
-    /// Whether this shard materialises `global` (owned or replica).
-    pub fn contains(&self, global: NodeId) -> bool {
-        self.to_local.contains_key(&global)
-    }
-
-    /// Nodes this shard owns.
-    pub fn owned_nodes(&self) -> usize {
-        self.owned_nodes
-    }
-
-    /// Boundary replicas materialised for cut edges.
-    pub fn replica_nodes(&self) -> usize {
-        self.nodes.len() - self.owned_nodes
-    }
-
-    /// Forward edges owned by this shard (tail rule), cut edges included.
-    pub fn owned_edges(&self) -> usize {
-        self.owned_edges
-    }
-
-    /// Owned forward edges whose head lives on another shard.
-    pub fn cut_edges(&self) -> usize {
-        self.cut_edges
-    }
-
-    /// Forward edges stored in this shard's subgraph: owned edges plus the
-    /// replicas of cut edges owned elsewhere.
-    pub fn stored_edges(&self) -> usize {
-        self.graph.num_original_edges()
-    }
-}
-
 /// Point-in-time shard occupancy, surfaced through service metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -167,495 +83,4 @@ pub struct ShardStats {
     pub shard: usize,
     /// Nodes owned by the shard.
     pub owned_nodes: usize,
-    /// Boundary replicas materialised for cut edges.
-    pub replica_nodes: usize,
-    /// Forward edges owned by the shard (tail rule).
-    pub owned_edges: usize,
-    /// Owned forward edges whose head lives on another shard.
-    pub cut_edges: usize,
-}
-
-/// A [`DataGraph`] decomposed into [`ShardSubgraph`]s under a [`ShardSpec`],
-/// kept in sync with the union graph through mutation fan-out.
-#[derive(Clone, Debug)]
-pub struct GraphPartition {
-    spec: ShardSpec,
-    shards: Vec<ShardSubgraph>,
-    num_global_nodes: usize,
-}
-
-/// Mutable translation state for one shard while fanning a batch out.
-struct ShardDelta {
-    batch: MutationBatch,
-    /// Global ids of nodes this delta appends, in append order.
-    appended: Vec<(NodeId, bool)>, // (global id, owned?)
-    /// Cut-edge count adjustment.
-    cut_delta: isize,
-    /// Owned-edge count adjustment.
-    owned_delta: isize,
-}
-
-impl ShardDelta {
-    fn new() -> Self {
-        ShardDelta {
-            batch: MutationBatch::new(),
-            appended: Vec::new(),
-            cut_delta: 0,
-            owned_delta: 0,
-        }
-    }
-}
-
-impl GraphPartition {
-    /// Decomposes `graph` into `spec.shards()` subgraphs.
-    ///
-    /// Deterministic: owned nodes are laid out in global id order, boundary
-    /// replicas in order of first appearance along the global edge scan, so
-    /// two builds of the same graph produce identical shards.
-    pub fn build(graph: &DataGraph, spec: ShardSpec) -> Self {
-        let k = spec.shards();
-        let mut builders: Vec<GraphBuilder> = (0..k).map(|_| GraphBuilder::new()).collect();
-        // Per-shard accumulator: (global node ids in local order,
-        // global → local id map, owned nodes, owned edges, cut edges).
-        type Acc = (Vec<NodeId>, HashMap<NodeId, u32>, usize, usize, usize);
-        let mut shards: Vec<Acc> = (0..k)
-            .map(|_| (Vec::new(), HashMap::new(), 0, 0, 0))
-            .collect();
-
-        // Owned nodes first, in global id order.
-        for node in graph.nodes() {
-            let owner = spec.owner(node);
-            let (nodes, to_local, owned, _, _) = &mut shards[owner];
-            let local =
-                builders[owner].add_node(graph.node_kind_name(node), graph.node_label(node));
-            debug_assert_eq!(local.index(), nodes.len());
-            to_local.insert(node, nodes.len() as u32);
-            nodes.push(node);
-            *owned += 1;
-        }
-
-        // Edge scan: each forward edge lands in its owner shard and, when
-        // cut, is replicated into the head's shard; replicas materialise on
-        // first sight.
-        for u in graph.nodes() {
-            for e in graph.out_edges(u) {
-                if e.kind != EdgeKind::Forward {
-                    continue;
-                }
-                let tail_owner = spec.owner(u);
-                let head_owner = spec.owner(e.to);
-                let cut = tail_owner != head_owner;
-                {
-                    let (nodes, to_local, _, owned_edges, cut_edges) = &mut shards[tail_owner];
-                    ensure_replica(&mut builders[tail_owner], nodes, to_local, graph, e.to);
-                    let lu = NodeId(to_local[&u]);
-                    let lv = NodeId(to_local[&e.to]);
-                    builders[tail_owner]
-                        .add_edge_weighted(lu, lv, e.weight)
-                        .expect("valid shard edge");
-                    *owned_edges += 1;
-                    if cut {
-                        *cut_edges += 1;
-                    }
-                }
-                if cut {
-                    let (nodes, to_local, _, _, _) = &mut shards[head_owner];
-                    ensure_replica(&mut builders[head_owner], nodes, to_local, graph, u);
-                    let lu = NodeId(to_local[&u]);
-                    let lv = NodeId(to_local[&e.to]);
-                    builders[head_owner]
-                        .add_edge_weighted(lu, lv, e.weight)
-                        .expect("valid shard edge");
-                }
-            }
-        }
-
-        let policy = graph.policy();
-        let shards = builders
-            .into_iter()
-            .zip(shards)
-            .map(
-                |(builder, (nodes, to_local, owned_nodes, owned_edges, cut_edges))| ShardSubgraph {
-                    graph: builder.build(policy),
-                    nodes,
-                    to_local,
-                    owned_nodes,
-                    owned_edges,
-                    cut_edges,
-                },
-            )
-            .collect();
-        GraphPartition {
-            spec,
-            shards,
-            num_global_nodes: graph.num_nodes(),
-        }
-    }
-
-    /// The partitioning function behind this decomposition.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard `k`'s subgraph.
-    pub fn shard(&self, k: usize) -> &ShardSubgraph {
-        &self.shards[k]
-    }
-
-    /// All shards, in index order.
-    pub fn shards(&self) -> &[ShardSubgraph] {
-        &self.shards
-    }
-
-    /// The shard owning a node.
-    pub fn owner(&self, node: NodeId) -> usize {
-        self.spec.owner(node)
-    }
-
-    /// Total global nodes the partition currently accounts for.
-    pub fn num_global_nodes(&self) -> usize {
-        self.num_global_nodes
-    }
-
-    /// Point-in-time occupancy of every shard.
-    pub fn stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| ShardStats {
-                shard,
-                owned_nodes: s.owned_nodes(),
-                replica_nodes: s.replica_nodes(),
-                owned_edges: s.owned_edges(),
-                cut_edges: s.cut_edges(),
-            })
-            .collect()
-    }
-
-    /// Fans a sequence of **accepted** mutations out to the owning shards.
-    ///
-    /// `union` is the successor union graph the same ops were already
-    /// applied to — consulted for the kind/label of nodes that must be
-    /// materialised as fresh boundary replicas.  Callers pass only ops the
-    /// union accepted (rejected ops change nothing anywhere); ops apply to
-    /// each shard in batch order, so intra-batch references (an edge to a
-    /// node added earlier in the batch) resolve exactly as they did on the
-    /// union.
-    pub fn apply_ops(&mut self, union: &DataGraph, ops: &[GraphMutation]) {
-        let k = self.shards.len();
-        let mut deltas: Vec<ShardDelta> = (0..k).map(|_| ShardDelta::new()).collect();
-
-        for op in ops {
-            match op {
-                GraphMutation::AddNode { kind, label } => {
-                    let global = NodeId::from_index(self.num_global_nodes);
-                    self.num_global_nodes += 1;
-                    let owner = self.spec.owner(global);
-                    let delta = &mut deltas[owner];
-                    delta.appended.push((global, true));
-                    delta.batch =
-                        std::mem::take(&mut delta.batch).add_node(kind.clone(), label.clone());
-                }
-                GraphMutation::AddEdge { from, to, weight } => {
-                    let tail_owner = self.spec.owner(*from);
-                    let head_owner = self.spec.owner(*to);
-                    let cut = tail_owner != head_owner;
-                    for (idx, shard_idx) in [tail_owner, head_owner].iter().enumerate() {
-                        if idx == 1 && !cut {
-                            break;
-                        }
-                        let shard = &self.shards[*shard_idx];
-                        let delta = &mut deltas[*shard_idx];
-                        let lf = stage_local(union, shard, delta, *from);
-                        let lt = stage_local(union, shard, delta, *to);
-                        delta.batch = match weight {
-                            Some(w) => {
-                                std::mem::take(&mut delta.batch).add_edge_weighted(lf, lt, *w)
-                            }
-                            None => std::mem::take(&mut delta.batch).add_edge(lf, lt),
-                        };
-                    }
-                    let delta = &mut deltas[tail_owner];
-                    delta.owned_delta += 1;
-                    if cut {
-                        delta.cut_delta += 1;
-                    }
-                }
-                GraphMutation::RemoveEdge { from, to } => {
-                    let tail_owner = self.spec.owner(*from);
-                    let head_owner = self.spec.owner(*to);
-                    let cut = tail_owner != head_owner;
-                    // Count the parallel forward edges being removed before
-                    // staging, for exact stats maintenance.
-                    let removed =
-                        self.forward_multiplicity(tail_owner, &deltas[tail_owner], *from, *to);
-                    for (idx, shard_idx) in [tail_owner, head_owner].iter().enumerate() {
-                        if idx == 1 && !cut {
-                            break;
-                        }
-                        let shard = &self.shards[*shard_idx];
-                        let delta = &mut deltas[*shard_idx];
-                        let (Some(lf), Some(lt)) = (
-                            staged_local(shard, delta, *from),
-                            staged_local(shard, delta, *to),
-                        ) else {
-                            continue;
-                        };
-                        delta.batch = std::mem::take(&mut delta.batch).remove_edge(lf, lt);
-                    }
-                    let delta = &mut deltas[tail_owner];
-                    delta.owned_delta -= removed as isize;
-                    if cut {
-                        delta.cut_delta -= removed as isize;
-                    }
-                }
-                GraphMutation::SetLabel { node, label } => {
-                    // Relabel everywhere the node is materialised: its owner
-                    // shard and every shard holding it as a replica.
-                    for (shard_idx, shard) in self.shards.iter().enumerate() {
-                        let delta = &mut deltas[shard_idx];
-                        if let Some(local) = staged_local(shard, delta, *node) {
-                            delta.batch =
-                                std::mem::take(&mut delta.batch).set_label(local, label.clone());
-                        }
-                    }
-                }
-                GraphMutation::SetWeight { from, to, weight } => {
-                    let tail_owner = self.spec.owner(*from);
-                    let head_owner = self.spec.owner(*to);
-                    let cut = tail_owner != head_owner;
-                    for (idx, shard_idx) in [tail_owner, head_owner].iter().enumerate() {
-                        if idx == 1 && !cut {
-                            break;
-                        }
-                        let shard = &self.shards[*shard_idx];
-                        let delta = &mut deltas[*shard_idx];
-                        let (Some(lf), Some(lt)) = (
-                            staged_local(shard, delta, *from),
-                            staged_local(shard, delta, *to),
-                        ) else {
-                            continue;
-                        };
-                        delta.batch = std::mem::take(&mut delta.batch).set_weight(lf, lt, *weight);
-                    }
-                }
-                GraphMutation::RemoveNode { node } => {
-                    let o = self.spec.owner(*node);
-                    // Exact removed-edge accounting, replayed through ops
-                    // already staged this batch (the same discipline as
-                    // `forward_multiplicity`).  The owner shard materialises
-                    // *every* forward edge incident to the node — owned
-                    // edges by the tail rule plus cut edges replicated into
-                    // the head's shard — so it alone yields the full
-                    // incident multiset.
-                    let mut out_pairs: HashMap<NodeId, usize> = HashMap::new();
-                    let mut in_pairs: HashMap<NodeId, usize> = HashMap::new();
-                    {
-                        let shard = &self.shards[o];
-                        let delta = &deltas[o];
-                        if let Some(lg) = staged_local(shard, delta, *node) {
-                            if lg.index() < shard.graph.num_nodes() {
-                                for e in shard.graph.out_edges(lg) {
-                                    if e.kind == EdgeKind::Forward {
-                                        let v = staged_global(shard, delta, e.to);
-                                        *out_pairs.entry(v).or_insert(0) += 1;
-                                    }
-                                }
-                                for e in shard.graph.in_edges(lg) {
-                                    // Self-loops were already counted on
-                                    // the out side.
-                                    if e.kind == EdgeKind::Forward && e.from != lg {
-                                        let t = staged_global(shard, delta, e.from);
-                                        *in_pairs.entry(t).or_insert(0) += 1;
-                                    }
-                                }
-                            }
-                            for op in delta.batch.ops() {
-                                match op {
-                                    GraphMutation::AddEdge { from, to, .. } => {
-                                        if *from == lg {
-                                            let v = staged_global(shard, delta, *to);
-                                            *out_pairs.entry(v).or_insert(0) += 1;
-                                        } else if *to == lg {
-                                            let t = staged_global(shard, delta, *from);
-                                            *in_pairs.entry(t).or_insert(0) += 1;
-                                        }
-                                    }
-                                    GraphMutation::RemoveEdge { from, to } => {
-                                        if *from == lg {
-                                            out_pairs.insert(staged_global(shard, delta, *to), 0);
-                                        } else if *to == lg {
-                                            in_pairs.insert(staged_global(shard, delta, *from), 0);
-                                        }
-                                    }
-                                    GraphMutation::RemoveNode { node: other } if *other != lg => {
-                                        // A neighbour removed earlier in the
-                                        // batch already took its incident
-                                        // edges with it.
-                                        let g = staged_global(shard, delta, *other);
-                                        out_pairs.insert(g, 0);
-                                        in_pairs.insert(g, 0);
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                    for (v, c) in out_pairs {
-                        let delta = &mut deltas[o];
-                        delta.owned_delta -= c as isize;
-                        if self.spec.owner(v) != o {
-                            delta.cut_delta -= c as isize;
-                        }
-                    }
-                    for (t, c) in in_pairs {
-                        let s = self.spec.owner(t);
-                        let delta = &mut deltas[s];
-                        delta.owned_delta -= c as isize;
-                        if s != o {
-                            delta.cut_delta -= c as isize;
-                        }
-                    }
-                    // Tombstone everywhere the node is materialised, owner
-                    // and replica shards alike; the shard-local
-                    // `remove_node` drops the incident edges in each.
-                    for (shard_idx, shard) in self.shards.iter().enumerate() {
-                        let delta = &mut deltas[shard_idx];
-                        if let Some(local) = staged_local(shard, delta, *node) {
-                            delta.batch = std::mem::take(&mut delta.batch).remove_node(local);
-                        }
-                    }
-                }
-            }
-        }
-
-        for (shard, delta) in self.shards.iter_mut().zip(deltas) {
-            if delta.batch.is_empty() && delta.appended.is_empty() {
-                continue;
-            }
-            let (next, outcome) = shard.graph.apply_batch(&delta.batch);
-            debug_assert!(
-                outcome.results.iter().all(|r| r.is_ok()),
-                "accepted union ops must fan out cleanly: {:?}",
-                outcome.results
-            );
-            shard.graph = next;
-            if shard.graph.overlay_ratio() > COMPACT_OVERLAY_RATIO {
-                shard.graph = shard.graph.compacted();
-            }
-            for (global, owned) in delta.appended {
-                shard.to_local.insert(global, shard.nodes.len() as u32);
-                shard.nodes.push(global);
-                if owned {
-                    shard.owned_nodes += 1;
-                }
-            }
-            shard.owned_edges = (shard.owned_edges as isize + delta.owned_delta).max(0) as usize;
-            shard.cut_edges = (shard.cut_edges as isize + delta.cut_delta).max(0) as usize;
-        }
-    }
-
-    /// Number of parallel forward edges `from -> to` a `RemoveEdge` staged
-    /// at this point of the batch will remove in the owner shard: what the
-    /// materialised graph stores, replayed through the ops already staged
-    /// for that shard (an edge added three ops earlier counts; an earlier
-    /// staged removal resets the count).
-    fn forward_multiplicity(
-        &self,
-        shard_idx: usize,
-        delta: &ShardDelta,
-        from: NodeId,
-        to: NodeId,
-    ) -> usize {
-        let shard = &self.shards[shard_idx];
-        let (Some(lf), Some(lt)) = (
-            staged_local(shard, delta, from),
-            staged_local(shard, delta, to),
-        ) else {
-            return 0;
-        };
-        let mut count =
-            if lf.index() < shard.graph.num_nodes() && lt.index() < shard.graph.num_nodes() {
-                shard
-                    .graph
-                    .out_edges(lf)
-                    .filter(|e| e.to == lt && e.kind == EdgeKind::Forward)
-                    .count()
-            } else {
-                0
-            };
-        for op in delta.batch.ops() {
-            match op {
-                GraphMutation::AddEdge { from, to, .. } if *from == lf && *to == lt => count += 1,
-                GraphMutation::RemoveEdge { from, to } if *from == lf && *to == lt => count = 0,
-                _ => {}
-            }
-        }
-        count
-    }
-}
-
-/// Local id of `global` in `shard`, staging a boundary replica (pulled
-/// from the union graph) if the shard does not materialise it yet.
-fn stage_local(
-    union: &DataGraph,
-    shard: &ShardSubgraph,
-    delta: &mut ShardDelta,
-    global: NodeId,
-) -> NodeId {
-    if let Some(local) = staged_local(shard, delta, global) {
-        return local;
-    }
-    let local = NodeId::from_index(shard.nodes.len() + delta.appended.len());
-    delta.appended.push((global, false));
-    delta.batch = std::mem::take(&mut delta.batch).add_node(
-        union.node_kind_name(global).to_string(),
-        union.node_label(global).to_string(),
-    );
-    local
-}
-
-/// Global id behind a staged local id: materialised nodes first, then this
-/// batch's staged appends.
-fn staged_global(shard: &ShardSubgraph, delta: &ShardDelta, local: NodeId) -> NodeId {
-    if local.index() < shard.nodes.len() {
-        shard.nodes[local.index()]
-    } else {
-        delta.appended[local.index() - shard.nodes.len()].0
-    }
-}
-
-/// Local id of `global` counting both materialised nodes and this batch's
-/// staged appends.
-fn staged_local(shard: &ShardSubgraph, delta: &ShardDelta, global: NodeId) -> Option<NodeId> {
-    if let Some(local) = shard.local_id(global) {
-        return Some(local);
-    }
-    delta
-        .appended
-        .iter()
-        .position(|(g, _)| *g == global)
-        .map(|i| NodeId::from_index(shard.nodes.len() + i))
-}
-
-/// Materialises `global` as a boundary replica in a shard still being built.
-fn ensure_replica(
-    builder: &mut GraphBuilder,
-    nodes: &mut Vec<NodeId>,
-    to_local: &mut HashMap<NodeId, u32>,
-    graph: &DataGraph,
-    global: NodeId,
-) {
-    if to_local.contains_key(&global) {
-        return;
-    }
-    let local = builder.add_node(graph.node_kind_name(global), graph.node_label(global));
-    debug_assert_eq!(local.index(), nodes.len());
-    to_local.insert(global, nodes.len() as u32);
-    nodes.push(global);
 }

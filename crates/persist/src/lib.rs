@@ -42,8 +42,8 @@ pub use snapshot::{
     FORMAT_VERSION, PAGE_SIZE, SNAPSHOT_MAGIC,
 };
 pub use store::{
-    list_snapshots, recover, replay_wal, snapshot_file_name, BootSource, PersistOptions,
-    PersistentStore, Recovery, SNAPSHOT_EXT, SNAPSHOT_PREFIX, WAL_FILE,
+    chain_step, list_snapshots, recover, replay_wal, snapshot_file_name, BootSource, ChainStep,
+    PersistOptions, PersistentStore, Recovery, SNAPSHOT_EXT, SNAPSHOT_PREFIX, WAL_FILE,
 };
 pub use wal::{
     decode_record, encode_record, read_strict, scan_bytes, scan_file, FsyncPolicy, Wal, WalRecord,

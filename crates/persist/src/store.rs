@@ -6,9 +6,9 @@
 //! in-memory state, and periodically [`checkpoint`](PersistentStore::checkpoint)s
 //! — writing a fresh snapshot, pruning stale ones and truncating the log.
 //!
-//! The free functions ([`recover`], [`replay_wal`], [`list_snapshots`])
-//! are the building blocks higher layers (the query service) use to run
-//! the same protocol around their own richer state.
+//! The free functions ([`recover`], [`replay_wal`], [`chain_step`],
+//! [`list_snapshots`]) are the building blocks higher layers (the query
+//! service) use to run the same protocol around their own richer state.
 
 use std::path::{Path, PathBuf};
 
@@ -142,31 +142,59 @@ pub fn recover(dir: &Path) -> Result<Option<Recovery>> {
     })
 }
 
+/// Where a WAL record stands relative to the epoch it would apply to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChainStep {
+    /// The record's epoch is at or behind the current one: its effect is
+    /// already in the state (a snapshot written after it, or a resumed
+    /// stream replaying the tail).  Skip it.
+    Covered,
+    /// The record chains from the current epoch: apply it.
+    Next,
+    /// The record is ahead but does not chain from the current epoch:
+    /// some records in between are missing, so applying it would fork
+    /// the history.
+    Gap,
+}
+
+/// The one epoch-chain rule, shared by boot replay and a follower's
+/// apply: a record at or behind `current_epoch` is covered, one whose
+/// `parent_epoch` is `current_epoch` is next, and anything else is a gap.
+pub fn chain_step(current_epoch: u64, parent_epoch: u64, epoch: u64) -> ChainStep {
+    if epoch <= current_epoch {
+        ChainStep::Covered
+    } else if parent_epoch == current_epoch {
+        ChainStep::Next
+    } else {
+        ChainStep::Gap
+    }
+}
+
 /// Replays scanned WAL records on top of a recovered graph, returning the
 /// final graph and how many records were applied.
 ///
-/// Records already covered by the snapshot (`epoch <= graph.epoch()`, as
-/// left behind by a crash between snapshot write and WAL truncation) are
-/// skipped.  Each applied record must chain from the current epoch; a gap
-/// means snapshot and WAL disagree and is a typed error, not silent data
+/// Records are judged by [`chain_step`]: covered ones (as left behind by
+/// a crash between snapshot write and WAL truncation) are skipped, and a
+/// gap means snapshot and WAL disagree — a typed error, not silent data
 /// loss.  Replayed batches re-run through `DataGraph::apply_batch`, whose
 /// rejections are deterministic, and the recorded epoch is restored so the
 /// recovered graph is indistinguishable from the pre-crash one.
 pub fn replay_wal(mut graph: DataGraph, records: &[WalRecord]) -> Result<(DataGraph, usize)> {
     let mut applied = 0;
     for rec in records {
-        if rec.epoch <= graph.epoch() {
-            continue;
-        }
-        if rec.parent_epoch != graph.epoch() {
-            return Err(PersistError::Corrupt {
-                detail: format!(
-                    "wal record {} chains from epoch {} but the graph is at epoch {}",
-                    rec.seq,
-                    rec.parent_epoch,
-                    graph.epoch()
-                ),
-            });
+        match chain_step(graph.epoch(), rec.parent_epoch, rec.epoch) {
+            ChainStep::Covered => continue,
+            ChainStep::Gap => {
+                return Err(PersistError::Corrupt {
+                    detail: format!(
+                        "wal record {} chains from epoch {} but the graph is at epoch {}",
+                        rec.seq,
+                        rec.parent_epoch,
+                        graph.epoch()
+                    ),
+                })
+            }
+            ChainStep::Next => {}
         }
         let (mut next, _outcome) = graph.apply_batch(&rec.batch);
         next.restore_epoch(rec.epoch);
@@ -387,6 +415,29 @@ mod tests {
             std::env::temp_dir().join(format!("banks-store-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn chain_step_covers_chains_and_gaps() {
+        // (current, parent, epoch, expected)
+        let table = [
+            (5, 4, 5, ChainStep::Covered), // the current epoch itself
+            (5, 2, 3, ChainStep::Covered), // behind, chained
+            (5, 9, 3, ChainStep::Covered), // behind, parent nonsense
+            (5, 5, 6, ChainStep::Next),    // chains from current
+            (5, 5, 40, ChainStep::Next),   // epochs need not be dense
+            (5, 4, 6, ChainStep::Gap),     // parent behind current
+            (5, 6, 7, ChainStep::Gap),     // parent ahead of current
+            (0, 0, 1, ChainStep::Next),
+            (0, 0, 0, ChainStep::Covered),
+        ];
+        for (current, parent, epoch, expected) in table {
+            assert_eq!(
+                chain_step(current, parent, epoch),
+                expected,
+                "current {current}, record {parent} -> {epoch}"
+            );
+        }
     }
 
     fn seed_graph() -> DataGraph {

@@ -109,9 +109,8 @@ pub fn metrics(m: &ServiceMetrics) -> String {
             buf.push(',');
         }
         buf.push_str(&format!(
-            "{{\"shard\":{},\"owned_nodes\":{},\"replica_nodes\":{},\
-             \"owned_edges\":{},\"cut_edges\":{}}}",
-            s.shard, s.owned_nodes, s.replica_nodes, s.owned_edges, s.cut_edges,
+            "{{\"shard\":{},\"owned_nodes\":{}}}",
+            s.shard, s.owned_nodes
         ));
     }
     buf.push(']');

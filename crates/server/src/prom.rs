@@ -231,7 +231,7 @@ pub fn render(m: &ServiceMetrics) -> String {
     );
     p.gauge(
         "banks_shards",
-        "Shards the served graph is partitioned into (1 = unsharded).",
+        "Shards query execution is split across (1 = unsharded).",
         m.shards as f64,
     );
     for s in &m.shard_stats {
@@ -242,24 +242,6 @@ pub fn render(m: &ServiceMetrics) -> String {
             "Nodes owned by each shard.",
             &labels,
             s.owned_nodes as f64,
-        );
-        p.gauge_labeled(
-            "banks_shard_replica_nodes",
-            "Boundary replica nodes held by each shard.",
-            &labels,
-            s.replica_nodes as f64,
-        );
-        p.gauge_labeled(
-            "banks_shard_owned_edges",
-            "Edges whose source is owned by each shard.",
-            &labels,
-            s.owned_edges as f64,
-        );
-        p.gauge_labeled(
-            "banks_shard_cut_edges",
-            "Edges crossing out of each shard (replicated at the boundary).",
-            &labels,
-            s.cut_edges as f64,
         );
     }
 
@@ -401,9 +383,6 @@ mod tests {
             shard_stats: vec![ShardStats {
                 shard: 0,
                 owned_nodes: 40,
-                replica_nodes: 6,
-                owned_edges: 90,
-                cut_edges: 12,
             }],
             tenants: vec![TenantMetrics {
                 tenant: "acme".to_string(),
@@ -492,7 +471,6 @@ mod tests {
         assert!(text.contains("banks_persistence_enabled 1"));
         assert!(text.contains("banks_shards 2"));
         assert!(text.contains("banks_shard_owned_nodes{shard=\"0\"} 40"));
-        assert!(text.contains("banks_shard_cut_edges{shard=\"0\"} 12"));
     }
 
     #[test]

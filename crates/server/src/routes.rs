@@ -9,7 +9,7 @@
 //! | `GET /debug/slo` | the stored SLO burn-rate report: overall health + per-objective rows |
 //! | `GET /debug/events` | a page of the structured event log (`?since=<id>&limit=N`) |
 //! | `GET /debug/events/tail` | live SSE tail of the event log; `Last-Event-ID` (or `?since=`) resumes after a disconnect |
-//! | `POST /admin/swap` | rebuild and atomically swap the served snapshot |
+//! | `POST /admin/swap` | rebuild and atomically swap the served snapshot; 409 + `Location` on a follower |
 //! | `POST /admin/mutate` | apply a JSON [`MutationBatch`] incrementally: new epoch + per-op accept/reject; 409 + `Location` on a follower |
 //! | `POST /admin/checkpoint` | force a durable snapshot and truncate the WAL |
 //! | `POST /admin/slo` | replace (`{"slos":[…]}` / bare array) or upsert (single spec object) the SLO set at runtime |
@@ -74,7 +74,7 @@ pub(crate) struct ServerContext {
     pub(crate) graph_source: Option<GraphSource>,
     pub(crate) limits: Limits,
     /// Where writes live when this process is a follower — the `Location`
-    /// a rejected `POST /admin/mutate` points at.
+    /// a refused `POST /admin/mutate` or `POST /admin/swap` points at.
     pub(crate) leader_url: Option<String>,
     /// The server's shutdown flag: the long-lived SSE tails end on their
     /// next wake once it is set, so `Server::shutdown` can join them.
@@ -210,10 +210,7 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
                 respond_query(ctx, &request, &stream);
                 false
             }
-            ("POST", "/admin/swap") => {
-                respond_swap(ctx, &mut writer, keep);
-                keep
-            }
+            ("POST", "/admin/swap") => respond_swap(ctx, &mut writer, keep),
             ("POST", "/admin/mutate") => respond_mutate(ctx, &request, &mut writer, keep),
             ("POST", "/admin/checkpoint") => respond_checkpoint(ctx, &mut writer, keep),
             ("POST", "/admin/slo") => respond_slo_update(ctx, &request, &mut writer, keep),
@@ -854,7 +851,32 @@ fn respond_trace(ctx: &ServerContext, path: &str, w: &mut impl Write, keep_alive
     }
 }
 
-fn respond_swap(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
+/// Refuses a write on a follower with `409 not_leader` and a `Location`
+/// pointing at the same route on the leader; returns `true` when it did.
+/// A follower's graph is the leader's graph: accepting a local write would
+/// fork the replicated history.
+fn refuse_on_follower(ctx: &ServerContext, route: &str, w: &mut impl Write) -> bool {
+    if ctx.service.replication_status().role != ReplicationRole::Follower {
+        return false;
+    }
+    let mut error = HttpError::new(
+        409,
+        "not_leader",
+        "this process is a read replica; send writes to the leader",
+    );
+    if let Some(leader) = &ctx.leader_url {
+        let base = leader.trim_end_matches('/');
+        error.headers.push(("Location", format!("{base}{route}")));
+        error.extras.push(("leader", corejson::string(leader)));
+    }
+    respond_error(w, &error, false);
+    true
+}
+
+fn respond_swap(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) -> bool {
+    if refuse_on_follower(ctx, "/admin/swap", w) {
+        return false;
+    }
     let started = Instant::now();
     let previous_epoch = ctx.service.epoch();
     // Build the new snapshot *before* touching the serving lock: queries
@@ -873,6 +895,7 @@ fn respond_swap(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
         started.elapsed().as_micros(),
     );
     let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    keep_alive
 }
 
 /// `POST /admin/mutate`: apply a JSON mutation batch incrementally.
@@ -900,22 +923,7 @@ fn respond_mutate(
     w: &mut impl Write,
     keep_alive: bool,
 ) -> bool {
-    // A follower's graph is the leader's graph: accepting a local write
-    // would fork the replicated history.  Redirect the writer instead.
-    if ctx.service.replication_status().role == ReplicationRole::Follower {
-        let mut error = HttpError::new(
-            409,
-            "not_leader",
-            "this process is a read replica; apply mutations on the leader",
-        );
-        if let Some(leader) = &ctx.leader_url {
-            let base = leader.trim_end_matches('/');
-            error
-                .headers
-                .push(("Location", format!("{base}/admin/mutate")));
-            error.extras.push(("leader", corejson::string(leader)));
-        }
-        respond_error(w, &error, false);
+    if refuse_on_follower(ctx, "/admin/mutate", w) {
         return false;
     }
     let started = Instant::now();

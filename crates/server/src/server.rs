@@ -83,9 +83,10 @@ impl ServerBuilder {
     }
 
     /// Declares the leader this process replicates from.  A follower
-    /// rejects `POST /admin/mutate` with `409 Conflict`; when the leader's
-    /// base URL is known, the response carries a `Location` header pointing
-    /// at the leader's mutate endpoint so write traffic can be redirected.
+    /// rejects `POST /admin/mutate` and `POST /admin/swap` with
+    /// `409 Conflict`; when the leader's base URL is known, the response
+    /// carries a `Location` header pointing at the same endpoint on the
+    /// leader so write traffic can be redirected.
     pub fn leader_url(mut self, url: impl Into<String>) -> Self {
         self.leader_url = Some(url.into());
         self

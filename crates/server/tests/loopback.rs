@@ -185,8 +185,17 @@ fn sharded_server_streams_identical_answers_and_reports_shards() {
     let metrics = get(server.local_addr(), "/metrics");
     let v = banks_server::json::parse(body_of(&metrics)).unwrap();
     assert_eq!(v.get("shards").and_then(JsonValue::as_usize), Some(4));
+    // One row per shard, counting the nodes each owns: together they
+    // cover the served graph exactly once.
     match v.get("shard_stats") {
-        Some(JsonValue::Array(stats)) => assert_eq!(stats.len(), 4),
+        Some(JsonValue::Array(stats)) => {
+            assert_eq!(stats.len(), 4);
+            let owned: usize = stats
+                .iter()
+                .map(|s| s.get("owned_nodes").and_then(JsonValue::as_usize).unwrap())
+                .sum();
+            assert_eq!(owned, sharded.snapshot().graph().num_nodes());
+        }
         other => panic!("shard_stats should be an array, got {other:?}"),
     }
 

@@ -16,8 +16,8 @@
 //!   are still connected;
 //! * `GET /replication/snapshot` serves the newest snapshot verbatim with
 //!   its epoch in `X-Banks-Snapshot-Epoch`;
-//! * a follower-role server 409s `POST /admin/mutate` and points the
-//!   `Location` header at the leader;
+//! * a follower-role server 409s `POST /admin/mutate` and
+//!   `POST /admin/swap` and points the `Location` header at the leader;
 //! * `POST /admin/slo` replaces or upserts SLO specs at runtime.
 
 use std::io::{Read, Write};
@@ -377,6 +377,40 @@ fn a_follower_rejects_mutations_and_points_at_the_leader() {
         replication.get("role").and_then(|r| r.as_str()),
         Some("follower")
     );
+
+    server.shutdown();
+}
+
+/// A swap on a follower would fork the replicated history just as a
+/// mutation would: it gets the same refusal, and the served epoch stays
+/// the leader's.  Once the process is no longer a follower, swaps work.
+#[test]
+fn a_follower_refuses_swaps_and_points_at_the_leader() {
+    let service = Arc::new(Service::builder(padded_graph()).workers(1).build());
+    service.set_replication_role(ReplicationRole::Follower);
+    let server = Server::builder(Arc::clone(&service))
+        .leader_url("http://leader.example:7878")
+        .spawn()
+        .unwrap();
+    let addr = server.local_addr();
+    let epoch = service.epoch();
+
+    let response = post(addr, "/admin/swap", "");
+    assert!(
+        response.starts_with("HTTP/1.1 409 Conflict\r\n"),
+        "{response}"
+    );
+    assert_eq!(error_code(&response), "not_leader");
+    assert_eq!(
+        header_of(&response, "Location"),
+        Some("http://leader.example:7878/admin/swap")
+    );
+    assert_eq!(service.epoch(), epoch, "a refused swap changes nothing");
+
+    service.set_replication_role(ReplicationRole::Leader);
+    let response = post(addr, "/admin/swap", "");
+    assert_eq!(status_of(&response), 200, "{response}");
+    assert_ne!(service.epoch(), epoch);
 
     server.shutdown();
 }

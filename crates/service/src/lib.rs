@@ -28,19 +28,23 @@
 //!   version, new admissions see the new epoch, and the epoch-keyed result
 //!   cache can never serve stale answers.
 //! * **Sharded scatter-gather execution** — [`ServiceBuilder::shards`]
-//!   partitions the served graph into `K` hash-assigned shards behind a
-//!   [`ShardSet`] (union snapshot + [`banks_graph::GraphPartition`], one
-//!   logical epoch).  The `scatter-gather` engine family refills per-shard
-//!   frontiers in parallel and merges them through a single output heap,
-//!   so the answer stream is **byte-identical** to the unsharded run;
-//!   mutations fan their accepted ops out to the owning shards inside the
-//!   same epoch swap.  `K = 1` degenerates to the plain snapshot path.
+//!   splits each query across `K` shards, each node owned by the shard
+//!   [`ShardSpec::owner`] hashes it to.  The `scatter-gather` engine
+//!   family refills per-shard frontiers in parallel and merges them
+//!   through a single output heap, so the answer stream is
+//!   **byte-identical** to the unsharded run.  Ownership is a pure
+//!   function of the node id, so no per-shard state is kept: the service
+//!   serves one snapshot at one epoch whatever `K` is.
 //! * **Incremental mutations** — [`Service::apply_mutations`] applies a
 //!   [`banks_graph::MutationBatch`] to the served snapshot as a *delta*:
 //!   copy-on-write adjacency, index delta (only touched labels
 //!   re-tokenized), incremental prestige refresh — built outside the
 //!   serving lock and swapped in through the same epoch-pinning machinery
 //!   as a wholesale swap, at O(touched rows) instead of O(V + E).
+//! * **One commit path** — every write (mutation batches, replicated
+//!   records, swaps, follower bootstraps, checkpoints) runs one of the
+//!   two steps in [`commit`], under one admin lock, with one swap site
+//!   and one wake of the replication stream.
 //! * **[`QueryHandle`]** — returned by [`Service::submit`]: stream answers
 //!   as the engine emits them ([`QueryHandle::recv`] /
 //!   [`QueryHandle::next_answer`]), watch live
@@ -134,6 +138,7 @@
 
 #![deny(missing_docs)]
 
+pub mod commit;
 pub mod handle;
 pub mod metrics;
 pub mod persistence;
@@ -141,7 +146,6 @@ mod quota;
 pub mod replication;
 mod sched;
 pub mod service;
-pub mod shardset;
 pub mod snapshot;
 pub mod spec;
 
@@ -153,11 +157,11 @@ pub use banks_obs::{
 pub use banks_persist::{
     decode_record, encode_record, FsyncPolicy, PersistError, PersistOptions, WalRecord,
 };
+pub use commit::MutationReport;
 pub use handle::{QueryEvent, QueryHandle, QueryId, QueryResult, RecvTimeout};
 pub use metrics::{QueueWaitSummary, ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
 pub use persistence::{CommittedRecord, DurabilityStatus};
 pub use replication::{ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus};
-pub use service::{parse_slo_specs, MutationReport, Service, ServiceBuilder, SubmitError};
-pub use shardset::ShardSet;
+pub use service::{parse_slo_specs, Service, ServiceBuilder, SubmitError};
 pub use snapshot::GraphSnapshot;
 pub use spec::{Priority, QuerySpec};

@@ -264,11 +264,11 @@ pub struct ServiceMetrics {
     /// WAL fsync-latency distribution; empty when persistence is off or
     /// the fsync policy never syncs.
     pub wal_fsync: QueueWaitSummary,
-    /// Number of shards the serving graph is partitioned into
+    /// Number of shards query execution is split across
     /// ([`crate::ServiceBuilder::shards`]; 1 = unsharded).
     pub shards: u64,
-    /// Per-shard partition sizes (owned/replica nodes, owned/cut edges)
-    /// of the currently-served version; empty when unsharded.
+    /// Nodes of the currently-served version each shard owns; empty when
+    /// unsharded.
     pub shard_stats: Vec<ShardStats>,
     /// Per-tenant scheduling outcomes, sorted by tenant name.
     pub tenants: Vec<TenantMetrics>,

@@ -1,9 +1,9 @@
 //! Service-side durability plumbing: the WAL + checkpoint lifecycle run
 //! around the serving snapshot.
 //!
-//! The [`crate::Service`] write path is WAL-first: inside the mutation
-//! mutex, an accepted batch is appended (and fsynced per policy) *before*
-//! the successor snapshot is swapped in.  Checkpoints — a full snapshot of
+//! The [`crate::Service`] write path ([`crate::commit`]) is WAL-first:
+//! under the admin lock, an accepted batch is appended (and fsynced per
+//! policy) *before* the successor snapshot is swapped in.  Checkpoints — a full snapshot of
 //! graph, prestige **and** keyword index, then WAL truncation and stale
 //! snapshot pruning — happen on demand ([`crate::Service::checkpoint`]),
 //! when a mutation chain triggers compaction, when the WAL crosses its
@@ -292,10 +292,9 @@ impl Durable {
         self.lock().commits
     }
 
-    /// Publishes a commit: bumps the counter and wakes every waiter.  The
-    /// service calls this once per committing call (a mutation batch, a
-    /// replicated record, a snapshot install, a checkpoint, a swap) when
-    /// that call is done — for a mutation batch, **after** the caller's
+    /// Publishes a commit: bumps the counter and wakes every waiter.  Its
+    /// one caller is the write path's wake, which every public write runs
+    /// once when it is done — for a mutation batch, **after** the caller's
     /// continuation (the `/admin/mutate` ack) has run.  The counter
     /// therefore never moves ahead of the acknowledgement, and a waiter is
     /// never released before it.

@@ -13,16 +13,13 @@ use banks_core::registry::UnknownEngine;
 use banks_core::{
     CancelToken, EngineRegistry, QueryContext, QueryCost, ResultCache, SearchOutcome, SearchStats,
 };
-use banks_graph::{
-    AppliedBatch, BatchOutcome, DataGraph, GraphPartition, MutationBatch, MutationLog, ShardSpec,
-    ShardStats, DEFAULT_LOG_CAPACITY,
-};
+use banks_graph::{DataGraph, MutationLog, ShardSpec, ShardStats, DEFAULT_LOG_CAPACITY};
 use banks_obs::{
     CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, ShardTimes, SloEngine,
     SloReport, SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
 };
 use banks_persist::{
-    list_snapshots, recover, replay_wal, FsyncPolicy, PersistError, PersistOptions, Wal, WalRecord,
+    list_snapshots, recover, replay_wal, FsyncPolicy, PersistError, PersistOptions, Wal,
 };
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, KeywordMatches};
@@ -31,11 +28,8 @@ use crate::handle::{HandleState, QueryEvent, QueryHandle, QueryId, QueryResult};
 use crate::metrics::{Counters, ServiceMetrics, WaitStats};
 use crate::persistence::{CommittedRecord, DurabilityStatus, Durable, Persistence};
 use crate::quota::{QuotaConfig, QuotaSettings, QuotaState};
-use crate::replication::{
-    ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationState, ReplicationStatus,
-};
+use crate::replication::{ReplicationRole, ReplicationState, ReplicationStatus};
 use crate::sched::WorkQueue;
-use crate::shardset::ShardSet;
 use crate::snapshot::GraphSnapshot;
 use crate::spec::QuerySpec;
 
@@ -86,33 +80,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// What [`Service::apply_mutations`] did: the epoch transition plus the
-/// per-op [`BatchOutcome`].
-#[derive(Clone, Debug)]
-pub struct MutationReport {
-    /// The serving epoch after the call (unchanged when nothing was
-    /// accepted).
-    pub epoch: u64,
-    /// The serving epoch the batch was applied against.
-    pub previous_epoch: u64,
-    /// Whether a successor snapshot was actually swapped in (false when
-    /// every op was rejected, or when the WAL append failed).
-    pub swapped: bool,
-    /// Per-op accept/reject results and the derived-structure deltas.
-    pub outcome: BatchOutcome,
-    /// Why the batch could not be made durable, when persistence is
-    /// enabled and the WAL append failed.  The batch was **not** applied:
-    /// the serving snapshot, the epoch and the disk state are all
-    /// unchanged, so the caller can retry safely.
-    pub persist_error: Option<String>,
-    /// Phase trace of the apply itself — delta build, WAL append (with
-    /// the fsync this append triggered, if any), shard fan-out, snapshot
-    /// swap, and the checkpoint the mutation triggered.  `None` when
-    /// nothing was applied.  The same trace is retained in the service's
-    /// trace ring under `engine == "mutation"`.
-    pub trace: Option<Arc<QueryTrace>>,
-}
-
 /// Capacity of the trace retention ring ([`Service::trace`] /
 /// [`Service::slow_traces`] look traces up in it).
 const TRACE_RING_CAPACITY: usize = 256;
@@ -159,7 +126,7 @@ fn timeseries_schema() -> Vec<&'static str> {
 
 /// Wall-clock milliseconds since the Unix epoch (the time base of the
 /// time-series ring and SLO evaluation).
-fn unix_ms() -> u64 {
+pub(crate) fn unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
@@ -321,10 +288,6 @@ struct Job {
     /// The a priori cost estimate the scheduler charged (calibration
     /// feedback compares it with the measured `nodes_explored`).
     cost: QueryCost,
-    /// Shard count of the set this job was admitted under — the
-    /// scatter-gather engines parallelise across this many shards; 1 runs
-    /// the plain unsharded path.
-    shards: usize,
     trace: TraceCtx,
 }
 
@@ -336,21 +299,21 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// Everything the workers share.
-struct Inner {
-    /// The currently-served shard set (union snapshot + partition);
-    /// [`Service::swap_graph`] replaces the `Arc` while in-flight queries
-    /// keep their pinned clones alive.
-    serving: Mutex<Arc<ShardSet>>,
-    /// Configured shard count (≥ 1); every swapped-in version is
-    /// partitioned to the same count.
+/// Everything the workers share.  The write path (`crate::commit`) reaches
+/// into the `pub(crate)` fields.
+pub(crate) struct Inner {
+    /// The currently-served snapshot; the write path replaces the `Arc`
+    /// while in-flight queries keep their pinned clones alive.
+    pub(crate) serving: Mutex<Arc<GraphSnapshot>>,
+    /// Configured shard count (≥ 1): the scatter-gather engines split each
+    /// query across this many hash-owned shards of the served graph.
     shards: usize,
     registry: EngineRegistry,
     default_engine: String,
-    cache: Arc<ResultCache>,
+    pub(crate) cache: Arc<ResultCache>,
     /// Whether the cache was created by (and is private to) this service —
     /// only then may a swap eagerly evict the superseded epoch's entries.
-    cache_private: bool,
+    pub(crate) cache_private: bool,
     queue: Mutex<QueueState>,
     queue_capacity: usize,
     work_available: Condvar,
@@ -362,38 +325,37 @@ struct Inner {
     /// The quota configuration (kept outside the bucket mutex so metrics
     /// snapshots never contend with the admission path).
     quota_settings: Option<QuotaSettings>,
-    /// Serializes [`Service::apply_mutations`] callers, so concurrent
-    /// batches compose instead of clobbering each other.  Never held while
-    /// queries are admitted or executed — the delta build happens outside
-    /// the serving lock.
-    mutate: Mutex<()>,
+    /// The admin lock: every write (`crate::commit`) holds it throughout,
+    /// so batches, swaps, checkpoints and replicated records never
+    /// interleave.  Never held while queries are admitted or executed.
+    pub(crate) mutate: Mutex<()>,
     /// Durability state (WAL + checkpoint bookkeeping, the committed
     /// tail and its commit signal); `None` when the service was built
     /// without [`ServiceBuilder::persistence`].  Lock order: `mutate` →
-    /// `persistence` (never the reverse).
-    persistence: Option<Durable>,
+    /// `persistence` → `serving` (never the reverse).
+    pub(crate) persistence: Option<Durable>,
     /// Ring of recently applied mutation batches (epoch transitions and
     /// accept/reject counts), bounded by
     /// [`ServiceBuilder::mutation_log_capacity`].
-    mutation_log: Mutex<MutationLog>,
-    counters: Counters,
+    pub(crate) mutation_log: Mutex<MutationLog>,
+    pub(crate) counters: Counters,
     waits: Mutex<WaitStats>,
-    next_id: AtomicU64,
+    pub(crate) next_id: AtomicU64,
     /// Retained phase traces (explicitly traced + slow queries).
-    traces: TraceRing,
+    pub(crate) traces: TraceRing,
     /// End-to-end latency beyond which a query counts as *slow*: its trace
     /// is retained and [`ServiceMetrics::slow_queries`] is bumped.
     slow_threshold: Duration,
     /// Time-to-first-answer distribution across executed queries.
     ttfa_hist: Histogram,
     /// Apply-latency distribution of successful mutation batches.
-    mutation_apply_hist: Histogram,
+    pub(crate) mutation_apply_hist: Histogram,
     /// Online correction of the a priori cost model from measured
     /// `nodes_explored`, per (engine, origin-size bucket).
     calibration: CostCalibration,
     /// The structured operational event log (admission rejects, mutation
     /// batches, checkpoints, swaps, alerts, watchdog trips).
-    events: EventLog,
+    pub(crate) events: EventLog,
     /// Retained metric snapshots, written by the collector thread.
     series: TimeSeriesRing,
     /// The burn-rate judge over [`Inner::series`].
@@ -403,12 +365,24 @@ struct Inner {
     slo_report: Mutex<SloReport>,
     /// Replication role and follower progress (see
     /// [`crate::replication`]).
-    replication: Mutex<ReplicationState>,
+    pub(crate) replication: Mutex<ReplicationState>,
     /// Nodes-explored multiple of the a priori estimate beyond which the
     /// watchdog flags a finished query as an overrun.
     watchdog_factor: u64,
     /// Collector cadence (also reported on `GET /debug/slo`).
     collector_cadence: Duration,
+}
+
+impl Inner {
+    /// Per-shard node ownership of the served graph, counted by
+    /// [`ShardSpec::owner`]; empty when unsharded.
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        if self.shards <= 1 {
+            return Vec::new();
+        }
+        let snapshot = Arc::clone(&self.serving.lock().expect("serving lock"));
+        ShardSpec::new(self.shards).stats(snapshot.graph())
+    }
 }
 
 /// Configures and spawns a [`Service`].
@@ -621,14 +595,13 @@ impl ServiceBuilder {
         self
     }
 
-    /// Partitions the served graph into `shards` hash-assigned shards
-    /// (default 1: unsharded; clamped to at least 1).  Every graph version
-    /// this service serves — the boot graph, recovered state, wholesale
-    /// swaps, mutation successors — is partitioned to the same count
-    /// behind a [`ShardSet`], and the `scatter-gather` engine family
+    /// Splits query execution across `shards` hash-owned shards (default
+    /// 1: unsharded; clamped to at least 1).  Every node belongs to the
+    /// shard [`ShardSpec::owner`] names; the `scatter-gather` engine family
     /// executes across the shards in parallel while emitting a stream
-    /// byte-identical to the unsharded run.  Mutation batches fan their
-    /// accepted ops out to the owning shards inside the same epoch swap.
+    /// byte-identical to the unsharded run.  No per-shard copy of the
+    /// graph is kept: every version, however it was produced, is sharded
+    /// by the same pure function of the node id.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -780,7 +753,7 @@ impl ServiceBuilder {
         };
         let quota_enabled = self.quota.enabled();
         let inner = Arc::new(Inner {
-            serving: Mutex::new(Arc::new(ShardSet::build(snapshot, self.shards))),
+            serving: Mutex::new(Arc::new(snapshot)),
             shards: self.shards,
             registry,
             default_engine: self.default_engine,
@@ -1000,7 +973,7 @@ pub fn parse_slo_specs(text: &str) -> Result<Vec<SloSpec>, String> {
 /// assert_eq!(result.epoch, service.epoch());
 /// ```
 pub struct Service {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     /// The metrics collector thread (time-series snapshots, SLO passes,
     /// queue watchdog); joined on shutdown via `collector_stop`.
@@ -1093,14 +1066,13 @@ impl Service {
         }
         trace.admit_us = trace.elapsed_us();
 
-        // Pin the serving shard set: everything below — keyword resolution,
+        // Pin the serving snapshot: everything below — keyword resolution,
         // cache key, execution — consistently uses this version, no matter
         // how many swaps happen while the query waits or runs.  The cache
         // key carries only the epoch: the shard count never affects answer
         // bytes (that is the scatter-gather contract), so sharded and
         // unsharded runs share cache entries.
-        let shard_set = Arc::clone(&inner.serving.lock().expect("serving lock"));
-        let snapshot = Arc::clone(shard_set.snapshot());
+        let snapshot = self.snapshot();
 
         // The same single normalization point as the `Banks` facade: the
         // normalized keywords feed both origin-set resolution and the cache
@@ -1235,7 +1207,6 @@ impl Service {
             state: Arc::clone(&state),
             submitted_at,
             cost,
-            shards: shard_set.shards(),
             trace,
         };
         {
@@ -1272,370 +1243,6 @@ impl Service {
             events: rx,
             state,
         })
-    }
-
-    /// Atomically replaces the served graph with a new version, deriving
-    /// the default prestige vector and label index for it (use
-    /// [`Service::swap_snapshot`] to supply precomputed ones).  Returns the
-    /// new serving epoch.
-    ///
-    /// The swap is the whole online-reindexing story:
-    ///
-    /// * **in-flight queries** — running *or still queued* — finish on the
-    ///   snapshot they were admitted under, which stays alive until its
-    ///   last query drops it;
-    /// * **new admissions** resolve, execute and cache against the new
-    ///   version;
-    /// * **the result cache** needs no flush: keys carry the epoch, so old
-    ///   entries can never serve the new graph.  If this service owns its
-    ///   cache (no [`ServiceBuilder::shared_cache`]), the superseded
-    ///   epoch's entries are evicted eagerly to reclaim capacity.
-    ///
-    /// Swapping in a clone of the currently-served graph still produces a
-    /// distinct epoch (and therefore a cold cache): the contract is
-    /// "admissions after the swap run on the swapped-in version", not
-    /// "...unless the bytes look the same".
-    pub fn swap_graph(&self, graph: DataGraph) -> u64 {
-        // Derivations run *before* the serving lock is taken: queries keep
-        // flowing against the old version while prestige and the index for
-        // the new one are computed.
-        self.swap_snapshot(GraphSnapshot::with_defaults(graph))
-    }
-
-    /// Applies a [`MutationBatch`] to the currently-served snapshot and
-    /// swaps the successor in, returning the per-op outcome and the new
-    /// serving epoch.
-    ///
-    /// This is the incremental counterpart of [`Service::swap_graph`],
-    /// sharing all of its machinery and guarantees — pinned snapshots,
-    /// epoch-keyed caches, eager eviction for private caches — while
-    /// building the new version as a **delta** instead of a rebuild:
-    ///
-    /// * the successor snapshot (graph + index + prestige) is derived
-    ///   *outside the serving lock* via [`GraphSnapshot::apply_batch`], so
-    ///   queries keep flowing on the old version throughout;
-    /// * queued and in-flight queries finish on the snapshot they pinned
-    ///   at admission; new admissions see the new epoch;
-    /// * the epoch-keyed result cache stays correct for free (a private
-    ///   cache additionally evicts the superseded epoch eagerly);
-    /// * a batch in which **no** op was accepted swaps nothing — the
-    ///   epoch, the cache and the serving snapshot are untouched, and the
-    ///   report says so (`swapped == false`).
-    ///
-    /// Concurrent `apply_mutations` callers are serialized (each batch
-    /// builds on the previous one's result); a concurrent
-    /// [`Service::swap_graph`] interleaves on last-writer-wins terms,
-    /// exactly as two wholesale swaps would.
-    ///
-    /// Long mutation chains do not degrade the serving graph: once more
-    /// than a quarter of the nodes carry copy-on-write overlay rows, the
-    /// successor is compacted back into flat CSR storage before the swap
-    /// (same contents, same epoch — invisible to queries and caches).
-    ///
-    /// With persistence enabled ([`ServiceBuilder::persistence`]) the
-    /// write path is **WAL-first**: the accepted batch is appended to the
-    /// log (and fsynced per policy) *before* the successor snapshot swaps
-    /// in.  If the append fails, nothing swaps — the report carries
-    /// [`MutationReport::persist_error`] and the serving state is
-    /// unchanged, so acknowledged mutations are exactly the durable ones.
-    /// A swap that triggered compaction, or a WAL past its rotation
-    /// threshold, checkpoints immediately afterwards (snapshot + WAL
-    /// truncation), off the freshly-swapped snapshot.
-    ///
-    /// A committed batch wakes the replication stream
-    /// ([`Service::wait_for_commit`]) when this call returns; use
-    /// [`Service::apply_mutations_with`] to act before that wake.
-    pub fn apply_mutations(&self, batch: &MutationBatch) -> MutationReport {
-        self.apply_mutations_with(batch, |_| {})
-    }
-
-    /// [`Service::apply_mutations`] with an *on committed* continuation:
-    /// `on_committed` runs once the batch's outcome is final (committed,
-    /// rejected, or refused by a failed WAL append), after every service
-    /// lock is released and **before** a committed batch wakes the
-    /// replication stream.  The HTTP `POST /admin/mutate` route writes its
-    /// acknowledgement here: on a small host a woken co-located follower
-    /// would otherwise preempt the ack and the writer would pay for the
-    /// replica's apply.
-    pub fn apply_mutations_with(
-        &self,
-        batch: &MutationBatch,
-        on_committed: impl FnOnce(&MutationReport),
-    ) -> MutationReport {
-        let report = self.commit_mutations(batch);
-        on_committed(&report);
-        if report.swapped {
-            self.publish_commit();
-        }
-        report
-    }
-
-    /// The body of [`Service::apply_mutations`]: everything up to and
-    /// including the post-swap checkpoint, under the admin lock.
-    fn commit_mutations(&self, batch: &MutationBatch) -> MutationReport {
-        /// Overlay fraction beyond which the successor graph is flattened.
-        const COMPACT_OVERLAY_RATIO: f64 = 0.25;
-
-        let apply_started = Instant::now();
-        let elapsed_us = || apply_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let current_set = self.shard_set();
-        let current = Arc::clone(current_set.snapshot());
-        let previous_epoch = current.epoch();
-        // The expensive part — adjacency row rewrites, index delta,
-        // prestige refresh, the occasional compaction — happens here, with
-        // no service lock held.
-        let (mut next, outcome) = current.apply_batch(batch);
-        let compacted = next.maybe_compact(COMPACT_OVERLAY_RATIO);
-        let apply_end_us = elapsed_us();
-        let accepted = outcome.accepted();
-        if accepted == 0 {
-            Counters::add(
-                &self.inner.counters.mutation_ops_rejected,
-                outcome.rejected() as u64,
-            );
-            return MutationReport {
-                epoch: previous_epoch,
-                previous_epoch,
-                swapped: false,
-                outcome,
-                persist_error: None,
-                trace: None,
-            };
-        }
-
-        // Durability barrier: the batch must be on the log before any
-        // query can observe its effects.  A failed append aborts the
-        // mutation entirely — the successor is dropped, the epoch does not
-        // advance, and the disk and memory states remain consistent.
-        let mut wal_span = None;
-        let mut fsync_us = 0u64;
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock();
-            let wal_start_us = elapsed_us();
-            match persistence.append(previous_epoch, next.epoch(), batch) {
-                Ok(sync_us) => {
-                    wal_span = Some((wal_start_us, elapsed_us()));
-                    fsync_us = sync_us;
-                }
-                Err(e) => {
-                    Counters::add(
-                        &self.inner.counters.mutation_ops_rejected,
-                        outcome.rejected() as u64,
-                    );
-                    return MutationReport {
-                        epoch: previous_epoch,
-                        previous_epoch,
-                        swapped: false,
-                        outcome,
-                        persist_error: Some(e.to_string()),
-                        trace: None,
-                    };
-                }
-            }
-        }
-
-        // Shard fan-out: clone the partition (structurally shared) and
-        // apply exactly the accepted ops to the owning shards, so the
-        // successor set swaps in with union and shards at one epoch.
-        let fanout_start_us = elapsed_us();
-        let partition = current_set.successor_partition(&next, batch, &outcome);
-        let fanout_end_us = elapsed_us();
-
-        let swap_start_us = elapsed_us();
-        let epoch = self.swap_snapshot_inner(next, partition);
-        let swap_end_us = elapsed_us();
-        // Apply latency: admin-lock acquisition through WAL append and
-        // snapshot swap (post-swap checkpoints are accounted separately).
-        self.inner
-            .mutation_apply_hist
-            .record(apply_started.elapsed());
-        Counters::bump(&self.inner.counters.mutation_batches);
-        Counters::add(&self.inner.counters.mutation_ops_accepted, accepted as u64);
-        Counters::add(
-            &self.inner.counters.mutation_ops_rejected,
-            outcome.rejected() as u64,
-        );
-        self.inner
-            .mutation_log
-            .lock()
-            .expect("mutation log lock")
-            .push(AppliedBatch {
-                parent_epoch: previous_epoch,
-                epoch,
-                ops: batch.len(),
-                accepted,
-                rejected: outcome.rejected(),
-            });
-
-        // Checkpoint triggers: a compaction just produced the flat graph a
-        // snapshot wants anyway, and a WAL past its rotation threshold is
-        // due for truncation.  Both write off the freshly-swapped
-        // snapshot.  Failures are recorded (and surfaced via
-        // `durability()`) but do not fail the mutation — it is already
-        // durable in the WAL.
-        let mut checkpoint_span = None;
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock();
-            if compacted || persistence.wants_rotation() {
-                let checkpoint_start_us = elapsed_us();
-                let snapshot = self.snapshot();
-                if persistence.checkpoint(&snapshot).is_ok() {
-                    self.inner.events.emit(
-                        EventLevel::Info,
-                        "checkpoint",
-                        format!("mutation-triggered checkpoint at epoch {epoch}"),
-                    );
-                }
-                checkpoint_span = Some((checkpoint_start_us, elapsed_us()));
-            }
-        }
-        self.inner.events.emit(
-            EventLevel::Info,
-            "mutation-batch",
-            format!(
-                "epoch {previous_epoch} -> {epoch}: {accepted} op(s) accepted, {} rejected",
-                outcome.rejected()
-            ),
-        );
-        if current_set.shards() > 1 {
-            self.inner.events.emit(
-                EventLevel::Info,
-                "shard-fanout",
-                format!(
-                    "batch fanned out across {} shards at epoch {epoch}",
-                    current_set.shards()
-                ),
-            );
-        }
-
-        // The mutation's own phase trace: the checkpoint and WAL fsync it
-        // triggered are attributed to it here rather than showing up only
-        // as anonymous durability histograms.  Retained in the same trace
-        // ring as query traces, under `engine == "mutation"`.
-        let total_us = elapsed_us();
-        let mut trace = QueryTrace {
-            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
-            engine: "mutation".to_string(),
-            epoch,
-            total_us,
-            ..QueryTrace::default()
-        };
-        trace.push_span("apply", 0, apply_end_us);
-        if let Some((start, end)) = wal_span {
-            trace.push_span("wal-append", start, end);
-            if fsync_us > 0 {
-                trace.push_span("wal-fsync", end.saturating_sub(fsync_us), end);
-            }
-        }
-        if current_set.shards() > 1 {
-            trace.push_span("shard-fanout", fanout_start_us, fanout_end_us);
-        }
-        trace.push_span("swap", swap_start_us, swap_end_us);
-        if let Some((start, end)) = checkpoint_span {
-            trace.push_span("checkpoint", start, end);
-        }
-        trace.push_span("finish", 0, total_us);
-        trace.push_counter("ops", batch.len() as u64);
-        trace.push_counter("accepted", accepted as u64);
-        trace.push_counter("rejected", outcome.rejected() as u64);
-        let trace = Arc::new(trace);
-        self.inner.traces.push(Arc::clone(&trace));
-
-        MutationReport {
-            epoch,
-            previous_epoch,
-            swapped: true,
-            outcome,
-            persist_error: None,
-            trace: Some(trace),
-        }
-    }
-
-    /// [`Service::swap_graph`] with caller-supplied prestige and index (the
-    /// online equivalent of [`ServiceBuilder::prestige`] /
-    /// [`ServiceBuilder::index`]).  Returns the new serving epoch.
-    ///
-    /// A wholesale swap bypasses the mutation WAL — there is no batch to
-    /// log — so with persistence enabled the swap is made durable by an
-    /// immediate checkpoint of the new version.  A checkpoint failure does
-    /// not undo the swap (queries are already running on the new graph);
-    /// it is recorded and surfaced via [`Service::durability`].
-    pub fn swap_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
-        // A wholesale swap has no delta to fan out: rebuild the partition
-        // from scratch, outside the serving lock.
-        let partition = (self.inner.shards > 1)
-            .then(|| GraphPartition::build(snapshot.graph(), ShardSpec::new(self.inner.shards)));
-        let epoch = self.swap_snapshot_inner(snapshot, partition);
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock();
-            let current = self.snapshot();
-            if persistence.checkpoint(&current).is_ok() {
-                self.inner.events.emit(
-                    EventLevel::Info,
-                    "checkpoint",
-                    format!("post-swap checkpoint at epoch {epoch}"),
-                );
-            }
-        }
-        self.publish_commit();
-        epoch
-    }
-
-    fn swap_snapshot_inner(
-        &self,
-        mut snapshot: GraphSnapshot,
-        partition: Option<GraphPartition>,
-    ) -> u64 {
-        let old_epoch;
-        let new_epoch;
-        {
-            let mut serving = self.inner.serving.lock().expect("serving lock");
-            old_epoch = serving.epoch();
-            if snapshot.epoch() == old_epoch {
-                snapshot.bump_epoch();
-            }
-            new_epoch = snapshot.epoch();
-            *serving = Arc::new(ShardSet::from_parts(
-                snapshot,
-                ShardSpec::new(self.inner.shards),
-                partition,
-            ));
-        }
-        Counters::bump(&self.inner.counters.swaps);
-        self.inner.events.emit(
-            EventLevel::Info,
-            "swap",
-            format!("serving epoch {old_epoch} -> {new_epoch}"),
-        );
-        if self.inner.cache_private {
-            self.inner.cache.evict_epoch(old_epoch);
-        }
-        new_epoch
-    }
-
-    /// Forces a checkpoint now: writes a full snapshot of the currently
-    /// served version (graph, prestige, keyword index), truncates the WAL
-    /// and prunes snapshots beyond the retention bound.  Returns the
-    /// checkpointed epoch, or [`PersistError::Disabled`] when the service
-    /// was built without [`ServiceBuilder::persistence`].
-    ///
-    /// Serialized with [`Service::apply_mutations`] (same admin mutex), so
-    /// the written snapshot is never mid-mutation.
-    pub fn checkpoint(&self) -> Result<u64, PersistError> {
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let Some(persistence) = &self.inner.persistence else {
-            return Err(PersistError::Disabled);
-        };
-        let snapshot = self.snapshot();
-        let epoch = persistence.lock().checkpoint(&snapshot)?;
-        persistence.publish();
-        self.inner.events.emit(
-            EventLevel::Info,
-            "checkpoint",
-            format!("on-demand checkpoint at epoch {epoch}"),
-        );
-        Ok(epoch)
     }
 
     /// The service's durability state: whether persistence is on, the last
@@ -1684,158 +1291,6 @@ impl Service {
             .note_head(leader_epoch, lag_records, unix_ms());
     }
 
-    /// Applies one leader WAL record on a follower, through the same
-    /// WAL-first path as [`Service::apply_mutations`]: the record is
-    /// appended to the **local** WAL (with the leader's epochs) before
-    /// the successor swaps in, so a follower killed mid-stream recovers
-    /// to a prefix of the leader's history on restart.
-    ///
-    /// The record's epochs are authoritative: the successor serves at
-    /// exactly `record.epoch`, which is what makes a shared epoch on
-    /// leader and follower name the same graph version byte-for-byte.
-    ///
-    /// Records at or behind the serving epoch are skipped (a resumed
-    /// stream replays the tail; the apply is idempotent).  A record whose
-    /// `parent_epoch` does not match the serving epoch returns
-    /// [`ReplicationApplyError::EpochGap`] — the follower fell behind the
-    /// leader's WAL truncation horizon and must re-bootstrap from a
-    /// leader snapshot ([`Service::install_replicated_snapshot`]).
-    pub fn apply_replicated(
-        &self,
-        record: &WalRecord,
-    ) -> Result<ReplicatedApply, ReplicationApplyError> {
-        /// Same flattening threshold as [`Service::apply_mutations`] —
-        /// leader and follower compact on the same schedule.
-        const COMPACT_OVERLAY_RATIO: f64 = 0.25;
-
-        let apply_started = Instant::now();
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let current_set = self.shard_set();
-        let current = Arc::clone(current_set.snapshot());
-        let serving_epoch = current.epoch();
-        if record.epoch <= serving_epoch {
-            self.note_applied_locked(serving_epoch);
-            return Ok(ReplicatedApply {
-                epoch: serving_epoch,
-                applied: false,
-            });
-        }
-        if record.parent_epoch != serving_epoch {
-            return Err(ReplicationApplyError::EpochGap {
-                serving_epoch,
-                parent_epoch: record.parent_epoch,
-                record_epoch: record.epoch,
-            });
-        }
-
-        let (mut next, outcome) = current.apply_batch(&record.batch);
-        let compacted = next.maybe_compact(COMPACT_OVERLAY_RATIO);
-        next.restore_epoch(record.epoch);
-        let accepted = outcome.accepted();
-
-        // WAL-first, exactly like the leader: a failed local append
-        // applies nothing, so disk and memory stay consistent and the
-        // caller can retry the same record.
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock();
-            if let Err(e) = persistence.append(record.parent_epoch, record.epoch, &record.batch) {
-                return Err(ReplicationApplyError::Persist(e.to_string()));
-            }
-        }
-
-        let partition = current_set.successor_partition(&next, &record.batch, &outcome);
-        let epoch = self.swap_snapshot_inner(next, partition);
-        debug_assert_eq!(epoch, record.epoch, "replicated epoch must be preserved");
-        self.inner
-            .mutation_apply_hist
-            .record(apply_started.elapsed());
-        Counters::bump(&self.inner.counters.mutation_batches);
-        Counters::add(&self.inner.counters.mutation_ops_accepted, accepted as u64);
-        Counters::add(
-            &self.inner.counters.mutation_ops_rejected,
-            outcome.rejected() as u64,
-        );
-        self.inner
-            .mutation_log
-            .lock()
-            .expect("mutation log lock")
-            .push(AppliedBatch {
-                parent_epoch: record.parent_epoch,
-                epoch,
-                ops: record.batch.len(),
-                accepted,
-                rejected: outcome.rejected(),
-            });
-
-        // Same checkpoint triggers as the leader path: compaction wants a
-        // flat snapshot anyway, and a WAL past its rotation threshold is
-        // due for truncation.
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock();
-            if compacted || persistence.wants_rotation() {
-                let snapshot = self.snapshot();
-                if persistence.checkpoint(&snapshot).is_ok() {
-                    self.inner.events.emit(
-                        EventLevel::Info,
-                        "checkpoint",
-                        format!("replication-triggered checkpoint at epoch {epoch}"),
-                    );
-                }
-            }
-        }
-        self.note_applied_locked(epoch);
-        self.publish_commit();
-        Ok(ReplicatedApply {
-            epoch,
-            applied: true,
-        })
-    }
-
-    /// Installs a leader snapshot wholesale — the follower bootstrap (and
-    /// re-bootstrap) path.  The snapshot's epoch is preserved, the swap is
-    /// made durable by an immediate local checkpoint (which also truncates
-    /// any stale local WAL), and the replication progress advances to the
-    /// installed epoch.  Installing the epoch already being served is a
-    /// no-op apart from the progress note.
-    pub fn install_replicated_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let epoch = snapshot.epoch();
-        if epoch != self.epoch() {
-            let partition = (self.inner.shards > 1).then(|| {
-                GraphPartition::build(snapshot.graph(), ShardSpec::new(self.inner.shards))
-            });
-            self.swap_snapshot_inner(snapshot, partition);
-        }
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock();
-            // Pre-bootstrap snapshots carry locally-minted epochs that are
-            // not ordered against the leader's; newest-epoch retention
-            // would keep (or even prefer) them, so wipe before writing the
-            // bootstrap checkpoint.
-            persistence.clear_snapshots();
-            let current = self.snapshot();
-            if persistence.checkpoint(&current).is_ok() {
-                self.inner.events.emit(
-                    EventLevel::Info,
-                    "checkpoint",
-                    format!("bootstrap checkpoint at epoch {epoch}"),
-                );
-            }
-        }
-        self.note_applied_locked(epoch);
-        self.publish_commit();
-        epoch
-    }
-
-    /// Updates follower progress after serving-state advanced to `epoch`.
-    fn note_applied_locked(&self, epoch: u64) {
-        self.inner
-            .replication
-            .lock()
-            .expect("replication lock")
-            .note_applied(epoch, unix_ms());
-    }
-
     /// WAL records with `epoch > from_epoch`, in log order — the payload
     /// of the leader's `GET /replication/stream`.  Served from the
     /// committed tail the persistence state keeps in memory (the exact
@@ -1858,41 +1313,6 @@ impl Service {
             return Err(PersistError::Disabled);
         };
         Ok(persistence.lock().records_after(from_epoch))
-    }
-
-    /// Commits published so far: WAL appends and checkpoints, counted once
-    /// per committing call.  Pair with [`Service::wait_for_commit`].
-    /// Always 0 without persistence.
-    pub fn commit_count(&self) -> u64 {
-        self.inner.persistence.as_ref().map_or(0, Durable::commits)
-    }
-
-    /// Blocks until the commit count moves past `seen` or `timeout`
-    /// elapses, and returns the count — the leader's replication stream
-    /// waits here between shipments instead of polling.
-    ///
-    /// A commit is published when the committing call is done:
-    /// [`Service::apply_mutations_with`] publishes after its continuation
-    /// has run; [`Service::apply_replicated`],
-    /// [`Service::install_replicated_snapshot`], [`Service::checkpoint`]
-    /// and the swap paths at their end.  Without persistence nothing ever
-    /// commits, so this sleeps out `timeout`.
-    pub fn wait_for_commit(&self, seen: u64, timeout: Duration) -> u64 {
-        match &self.inner.persistence {
-            Some(persistence) => persistence.wait_past(seen, timeout),
-            None => {
-                std::thread::sleep(timeout);
-                seen
-            }
-        }
-    }
-
-    /// Wakes [`Service::wait_for_commit`] callers.  A no-op without
-    /// persistence.
-    fn publish_commit(&self) {
-        if let Some(persistence) = &self.inner.persistence {
-            persistence.publish();
-        }
     }
 
     /// Epoch and path of the newest on-disk snapshot — what
@@ -1959,7 +1379,7 @@ impl Service {
         metrics.mutation_apply = self.inner.mutation_apply_hist.summary();
         metrics.calibration = self.inner.calibration.rows();
         metrics.shards = self.inner.shards as u64;
-        metrics.shard_stats = self.shard_stats();
+        metrics.shard_stats = self.inner.shard_stats();
         {
             let report = self.inner.slo_report.lock().expect("slo report lock");
             metrics.health = report.health;
@@ -2046,25 +1466,12 @@ impl Service {
     /// it.  The returned `Arc` stays valid across swaps (it simply stops
     /// being current).
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        Arc::clone(self.inner.serving.lock().expect("serving lock").snapshot())
-    }
-
-    /// The shard set currently being served — the union snapshot plus its
-    /// `K`-way partition.  Like [`Service::snapshot`], the returned `Arc`
-    /// stays valid across swaps.
-    pub fn shard_set(&self) -> Arc<ShardSet> {
         Arc::clone(&self.inner.serving.lock().expect("serving lock"))
     }
 
     /// Configured shard count (1 = unsharded).
     pub fn shards(&self) -> usize {
         self.inner.shards
-    }
-
-    /// Per-shard partition statistics of the currently-served version;
-    /// empty when the service is unsharded.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shard_set().stats()
     }
 
     /// The epoch of the graph currently being served (the cache-key
@@ -2181,9 +1588,9 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     Counters::bump(&inner.counters.executed);
     let pickup_us = job.trace.elapsed_us();
     let snapshot = &job.snapshot;
-    // Per-shard busy-time accumulators, attached only when the set is
+    // Per-shard busy-time accumulators, attached only when the service is
     // actually sharded — the K = 1 path allocates and samples nothing.
-    let shard_times = (job.shards > 1).then(|| ShardTimes::new(job.shards));
+    let shard_times = (inner.shards > 1).then(|| ShardTimes::new(inner.shards));
     let mut ctx = QueryContext::new(
         snapshot.graph(),
         snapshot.prestige(),
@@ -2191,7 +1598,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
         job.spec_params,
     )
     .with_cancel(&job.token)
-    .with_shards(job.shards);
+    .with_shards(inner.shards);
     if let Some(times) = &shard_times {
         ctx = ctx.with_shard_times(times);
     }
@@ -2278,10 +1685,11 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     // (swap already evicted its epoch; all future lookups use newer ones),
     // so storing it would only waste a slot: skip it.  The epoch check and
     // the insert happen under the serving lock so a concurrent swap cannot
-    // slip between them and evict before we insert; `swap_snapshot` takes
-    // the same lock first and evicts after releasing it, so the lock order
-    // (serving → cache) is acyclic.  Shared caches always take the insert —
-    // another service may be serving that epoch.
+    // slip between them and evict before we insert; the swap
+    // (`Service::serve`) takes the same lock first and evicts after
+    // releasing it, so the lock order (serving → cache) is acyclic.
+    // Shared caches always take the insert — another service may be
+    // serving that epoch.
     if !stats.cancelled {
         let serving = inner.serving.lock().expect("serving lock");
         if !inner.cache_private || job.cache_key.epoch == serving.epoch() {
@@ -2434,7 +1842,7 @@ fn collector_tick(inner: &Inner, state: &mut CollectorState, now_ms: u64) {
         }
     };
 
-    let shard_stats = inner.serving.lock().expect("serving lock").clone().stats();
+    let shard_stats = inner.shard_stats();
     let imbalance = if shard_stats.len() <= 1 {
         1.0
     } else {

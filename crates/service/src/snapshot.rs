@@ -265,10 +265,10 @@ impl GraphSnapshot {
         self.graph.epoch()
     }
 
-    /// Assigns the underlying graph a fresh epoch.  Used by the swap path
-    /// when a caller swaps in a clone of the currently-served graph: the
-    /// contents may be identical, but the swap contract promises a cold
-    /// cache, so the epochs must differ.
+    /// Assigns the underlying graph a fresh epoch.  A wholesale swap serves
+    /// under one: a clone of the served graph must still get a cold cache,
+    /// and a graph built long ago must not checkpoint behind the snapshots
+    /// already on disk.
     pub(crate) fn bump_epoch(&mut self) {
         self.graph.bump_epoch();
     }

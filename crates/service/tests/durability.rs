@@ -154,26 +154,40 @@ fn checkpoint_without_persistence_is_disabled() {
     assert_eq!(metrics.wal_bytes, 0);
 }
 
+/// The decoy is built before the boot graph, so it carries an older epoch
+/// than the boot checkpoint: the swap must still serve and checkpoint a
+/// newer one, or recovery would load the stale boot snapshot and refuse
+/// the WAL that chains from the swap.
 #[test]
 fn swap_graph_checkpoints_immediately() {
     let dir = tmp_dir("swap");
-    let swapped_epoch;
+    let older = decoy();
+    let served_epoch;
     {
         let service = Service::builder(dblp_like())
             .persistence(&dir, FsyncPolicy::Always)
             .build();
-        swapped_epoch = service.swap_graph(decoy());
+        let boot_epoch = service.epoch();
+        let swapped_epoch = service.swap_graph(older);
+        assert!(swapped_epoch > boot_epoch, "a swap mints a fresh epoch");
         let status = service.durability();
         assert_eq!(
             status.last_checkpoint_epoch, swapped_epoch,
             "wholesale swap is made durable by a checkpoint"
         );
+        let report = service.apply_mutations(&MutationBatch::new().add_node("paper", "post-swap"));
+        assert!(report.swapped);
+        served_epoch = report.epoch;
     }
     let service = Service::builder(dblp_like())
         .persistence(&dir, FsyncPolicy::Always)
         .build();
-    assert_eq!(service.epoch(), swapped_epoch);
-    assert_eq!(service.snapshot().graph().num_nodes(), 1, "decoy recovered");
+    assert_eq!(service.epoch(), served_epoch);
+    assert_eq!(
+        service.snapshot().graph().num_nodes(),
+        2,
+        "decoy plus the post-swap node recovered"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

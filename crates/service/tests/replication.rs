@@ -145,6 +145,24 @@ fn follower_replays_the_leader_wal_to_the_same_epoch_and_answers() {
         assert_eq!(applied.epoch, record.epoch);
     }
     assert_eq!(follower.epoch(), leader.epoch(), "shared serving epoch");
+    // A follower's apply is the leader's batch step: the same `mutation`
+    // trace and `mutation-batch` event, one per record, at its epoch.
+    let mut traced: Vec<u64> = follower
+        .recent_traces(16)
+        .iter()
+        .filter(|t| t.engine == "mutation")
+        .map(|t| t.epoch)
+        .collect();
+    traced.sort_unstable();
+    let epochs: Vec<u64> = records.iter().map(|r| r.epoch).collect();
+    assert_eq!(traced, epochs);
+    let batches = follower
+        .events()
+        .since(0, 1000)
+        .iter()
+        .filter(|e| e.kind == "mutation-batch")
+        .count();
+    assert_eq!(batches, records.len());
     assert_eq!(
         answers(&follower, "soumen search"),
         answers(&leader, "soumen search"),

@@ -7,7 +7,9 @@
 //! graph-epoch bump invalidates the cache.
 //!
 //! Race bugs rarely reproduce in debug builds — CI runs this file under
-//! `--release` as well.
+//! `--release` as well.  The write path has its own race test: a
+//! wholesale swap fired into a stream of mutation batches must leave a
+//! data directory that boots to exactly the version last served.
 
 use std::sync::Arc;
 
@@ -15,8 +17,8 @@ use banks_core::{
     AnswerTree, Banks, EmissionPolicy, RankedAnswer, ResultCache, SearchParams, SearchStats,
 };
 use banks_datagen::{DblpConfig, DblpDataset, WorkloadConfig, WorkloadGenerator};
-use banks_graph::{DataGraph, GraphBuilder};
-use banks_service::{QuerySpec, Service, SubmitError};
+use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
+use banks_service::{FsyncPolicy, QuerySpec, Service, SubmitError};
 
 const ENGINES: [&str; 3] = ["bidirectional", "si-backward", "mi-backward"];
 
@@ -394,5 +396,76 @@ fn work_budget_deadlines_are_deterministic_under_concurrency() {
         assert_eq!(outcome.stats.nodes_explored, first.stats.nodes_explored);
         assert_eq!(outcome.answers.len(), first.answers.len());
         assert_eq!(comparable(&outcome.answers), comparable(&first.answers));
+    }
+}
+
+/// One swap racing a stream of mutation batches on a durable ~20k-node
+/// service, repeated over many trials with the swap landing at a
+/// different point of the stream each time.  Every trial reopens the data
+/// directory: it must boot, at the epoch and node count last served.
+///
+/// Every write holds the admin lock, so the swap lands between two
+/// batches.  A swap between a batch's apply and its append would
+/// checkpoint and truncate the WAL under it, and the batch would swap in
+/// a successor of the pre-swap graph; the reopen then refuses to boot
+/// ("wal record chains from epoch N but the graph is at epoch M").
+#[test]
+fn swaps_racing_mutation_batches_leave_a_bootable_data_dir() {
+    const TRIALS: u64 = 24;
+    const BATCHES: usize = 60;
+    let graph = star_forest(6_700);
+    let replacement = star_forest(6_000);
+    for trial in 0..TRIALS {
+        let dir = std::env::temp_dir().join(format!(
+            "banks-stress-swap-race-{}-{trial}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::builder(graph.clone())
+            .workers(1)
+            .cache_capacity(0)
+            .persistence(&dir, FsyncPolicy::Never)
+            .build();
+        // splitmix-style spread of the swap delay over 0.2–8 ms.
+        let mix = (trial + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        let delay = std::time::Duration::from_micros(200 + mix % 7_800);
+        let (served_epoch, served_nodes) = std::thread::scope(|scope| {
+            let swapper = scope.spawn(|| {
+                std::thread::sleep(delay);
+                service.swap_graph(replacement.clone())
+            });
+            for i in 0..BATCHES {
+                let anchor = NodeId((i * 37 % 18_000) as u32);
+                let report = service.apply_mutations(
+                    &MutationBatch::new()
+                        .add_node("alpha", format!("raced alpha {trial}-{i}"))
+                        .add_edge(anchor, NodeId(0))
+                        .set_label(NodeId(1), format!("beta relabel {i}")),
+                );
+                assert!(report.persist_error.is_none(), "{:?}", report.persist_error);
+            }
+            let swapped = swapper.join().expect("swap thread");
+            assert!(swapped > 0);
+            (service.epoch(), service.snapshot().graph().num_nodes())
+        });
+        drop(service);
+
+        let reopened = Service::builder(graph.clone())
+            .workers(1)
+            .persistence(&dir, FsyncPolicy::Never)
+            .try_build()
+            .unwrap_or_else(|e| panic!("trial {trial} (swap after {delay:?}): reopen failed: {e}"));
+        assert_eq!(
+            reopened.epoch(),
+            served_epoch,
+            "trial {trial}: recovered epoch"
+        );
+        assert_eq!(
+            reopened.snapshot().graph().num_nodes(),
+            served_nodes,
+            "trial {trial}: recovered node count"
+        );
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -254,7 +254,7 @@ fn unsharded_queries_carry_no_shard_spans() {
 /// The ROADMAP trace gap: checkpoint and WAL-fsync work must be
 /// attributed to the mutation that triggered it.  An applied batch on a
 /// durable sharded service reports a `mutation` trace with the apply /
-/// wal-append / shard-fanout / swap phases, lands it in the ring (so
+/// wal-append / swap phases, lands it in the ring (so
 /// `/debug/trace/<id>` can serve it), and charges any fsync inside the
 /// wal-append span.
 #[test]
@@ -285,7 +285,7 @@ fn mutations_trace_their_phases_and_land_in_the_ring() {
     assert_eq!(trace.counter("ops"), Some(5));
     assert_eq!(trace.counter("accepted"), Some(4));
     assert_eq!(trace.counter("rejected"), Some(1));
-    for phase in ["apply", "wal-append", "shard-fanout", "swap", "finish"] {
+    for phase in ["apply", "wal-append", "swap", "finish"] {
         assert!(trace.span(phase).is_some(), "missing {phase} span");
     }
     // FsyncPolicy::Always: the append fsynced, and the fsync span sits at
@@ -309,7 +309,7 @@ fn mutations_trace_their_phases_and_land_in_the_ring() {
 }
 
 /// Without persistence there is no WAL; the mutation trace still covers
-/// apply and swap, and an unsharded service skips the fanout span.
+/// apply and swap.
 #[test]
 fn undurable_unsharded_mutations_trace_apply_and_swap_only() {
     let service = Service::builder(dblp_like()).workers(1).build();
@@ -320,7 +320,6 @@ fn undurable_unsharded_mutations_trace_apply_and_swap_only() {
     assert!(trace.span("swap").is_some());
     assert!(trace.span("wal-append").is_none());
     assert!(trace.span("wal-fsync").is_none());
-    assert!(trace.span("shard-fanout").is_none());
     assert_spans_consistent(trace, None);
 }
 

@@ -25,7 +25,7 @@
 //! acknowledged, `POST /admin/checkpoint` forces a snapshot, and a
 //! restart (even after `kill -9`) recovers the pre-crash graph from the
 //! directory instead of regenerating the corpus.
-//! `--shards K` partitions the served graph into `K` shards: the
+//! `--shards K` splits query execution across `K` hash-owned shards: the
 //! `scatter-gather` engine family fans each query out across per-shard
 //! engines and merges the streams, byte-identical to unsharded execution.
 //! `--replicate-from <url>` runs this process as a **read replica** of the

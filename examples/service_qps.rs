@@ -117,8 +117,7 @@ fn e2e_bench(gate: bool) {
         }
         let qps = cases.len() as f64 / started.elapsed().as_secs_f64();
 
-        // mutation-apply latency: a stream of small batches with shard
-        // fan-out included (at K>1 each clones + patches the partition)
+        // mutation-apply latency: a stream of small batches
         let base = service.snapshot().graph().num_nodes() as u32;
         for i in 0..8u32 {
             let n = base + 2 * i;

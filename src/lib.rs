@@ -117,7 +117,7 @@ pub mod prelude {
     };
     pub use banks_graph::{
         BatchOutcome, DataGraph, EdgeKind, ExpansionPolicy, GraphBuilder, GraphMutation,
-        GraphPartition, GraphStats, GraphStore, MutationBatch, NodeId, ShardSpec, ShardStats,
+        GraphStats, GraphStore, MutationBatch, NodeId, ShardSpec, ShardStats,
     };
     pub use banks_persist::{read_snapshot, write_snapshot, PersistentStore, SnapshotContents};
     pub use banks_prestige::{
@@ -130,8 +130,8 @@ pub mod prelude {
         DurabilityStatus, Event, EventLevel, EventLog, FsyncPolicy, GraphSnapshot, Health,
         MutationReport, PersistError, PersistOptions, Priority, QueryEvent, QueryHandle, QueryId,
         QueryResult, QuerySpec, QueueWaitSummary, ReplicationRole, ReplicationStatus, Service,
-        ServiceBuilder, ServiceMetrics, ShardSet, SloReport, SloRow, SloSpec, SubmitError,
-        TenantMetrics, TimeSeriesRing,
+        ServiceBuilder, ServiceMetrics, SloReport, SloRow, SloSpec, SubmitError, TenantMetrics,
+        TimeSeriesRing,
     };
     pub use banks_textindex::{IndexBuilder, InvertedIndex, KeywordMatches, Query, Tokenizer};
 }
